@@ -74,6 +74,58 @@ let condensation_sccs exec groups_arr =
   Array.iteri (fun gi c -> sccs.(c) <- gi :: sccs.(c)) comp;
   Array.to_list sccs
 
+(* Kernel -> index of its group in [arr]; kernels in no group stay [-1]
+   and, as in [condensation_sccs], carry no condensation edges. *)
+let group_index n arr =
+  let idx = Array.make n (-1) in
+  Array.iteri (fun gi g -> List.iter (fun k -> idx.(k) <- gi) g) arr;
+  idx
+
+(* [f gj] once per kernel-level edge (along [adj]) leaving group [gi]
+   into another group [gj] — condensation edges with multiplicity, in
+   O(members + their edges). *)
+let iter_group_edges idx adj arr gi f =
+  List.iter
+    (fun u ->
+      let vs = adj.(u) in
+      for e = 0 to Array.length vs - 1 do
+        let gj = idx.(Array.unsafe_get vs e) in
+        if gj >= 0 && gj <> gi then f gj
+      done)
+    arr.(gi)
+
+(* Group-level acyclicity: Kahn's algorithm over the per-kernel
+   successor lists.  In-degrees count edges with multiplicity, which
+   drains exactly like the simple condensation graph.  Both consumers of
+   [sccs_of] only inspect component {e sizes}, so when the condensation
+   is acyclic any all-singleton component list is behaviorally
+   interchangeable with Kosaraju's — which lets the memo miss path skip
+   the full SCC pass in the (overwhelmingly common) schedulable case. *)
+let group_dag_acyclic (m : Struct_memo.memos) arr =
+  let ng = Array.length arr in
+  ng <= 1
+  ||
+  let succ = m.Struct_memo.succ_adj in
+  let idx = group_index (Array.length succ) arr in
+  let indeg = Array.make ng 0 in
+  for gi = 0 to ng - 1 do
+    iter_group_edges idx succ arr gi (fun gj -> indeg.(gj) <- indeg.(gj) + 1)
+  done;
+  let ready = Array.make ng 0 and top = ref 0 and removed = ref 0 in
+  let push gj =
+    ready.(!top) <- gj;
+    incr top
+  in
+  Array.iteri (fun gj d -> if d = 0 then push gj) indeg;
+  while !top > 0 do
+    decr top;
+    incr removed;
+    iter_group_edges idx succ arr ready.(!top) (fun gj ->
+        indeg.(gj) <- indeg.(gj) - 1;
+        if indeg.(gj) = 0 then push gj)
+  done;
+  !removed = ng
+
 (* Structural operators are pure functions of the (fixed) execution
    order, metadata and their arguments, and the GA re-asks the same
    structural questions constantly; on an incremental objective each of
@@ -81,51 +133,6 @@ let condensation_sccs exec groups_arr =
    signature (see {!Struct_memo} for why the keys must not be
    canonicalized).  With memoization off ([--no-incremental]) the raw
    computation runs every time — the PR 3 behavior. *)
-(* Group-level acyclicity (Kahn's algorithm on bitset adjacency).  Both
-   consumers of [sccs_of] only inspect component {e sizes}, so when the
-   condensation is acyclic any all-singleton component list is
-   behaviorally interchangeable with Kosaraju's — which lets the memo
-   miss path skip the full SCC pass in the (overwhelmingly common)
-   schedulable case. *)
-let group_dag_acyclic succs arr =
-  let ng = Array.length arr in
-  if ng <= 1 || Array.length succs = 0 then true
-  else begin
-    let n = Bitset.universe_size succs.(0) in
-    let out =
-      Array.map
-        (fun g ->
-          let b = Bitset.create n in
-          List.iter (fun u -> Bitset.union_into b succs.(u)) g;
-          b)
-        arr
-    in
-    let edge i j = i <> j && List.exists (Bitset.mem out.(i)) arr.(j) in
-    let indeg = Array.make ng 0 in
-    for i = 0 to ng - 1 do
-      for j = 0 to ng - 1 do
-        if edge i j then indeg.(j) <- indeg.(j) + 1
-      done
-    done;
-    let queue = ref [] in
-    Array.iteri (fun j d -> if d = 0 then queue := j :: !queue) indeg;
-    let removed = ref 0 in
-    while !queue <> [] do
-      match !queue with
-      | [] -> ()
-      | i :: tl ->
-          queue := tl;
-          incr removed;
-          for j = 0 to ng - 1 do
-            if edge i j then begin
-              indeg.(j) <- indeg.(j) - 1;
-              if indeg.(j) = 0 then queue := j :: !queue
-            end
-          done
-    done;
-    !removed = ng
-  end
-
 let sccs_of obj exec groups_arr =
   match Objective.struct_memos obj with
   | None -> condensation_sccs exec groups_arr
@@ -133,7 +140,7 @@ let sccs_of obj exec groups_arr =
       Struct_memo.find_exact m.Struct_memo.sccs
         (Array.to_list groups_arr)
         (fun () ->
-          if group_dag_acyclic m.Struct_memo.succs groups_arr then
+          if group_dag_acyclic m groups_arr then
             List.init (Array.length groups_arr) (fun i -> [ i ])
           else condensation_sccs exec groups_arr)
 
@@ -153,37 +160,31 @@ let schedulable obj groups =
     (sccs_of obj (exec_of obj) (Array.of_list groups))
 
 (* Group indices (never 0 itself) in a condensation cycle with group 0:
-   [{j | 0 ->+ j and j ->+ 0}] at group granularity, walked directly on
-   the precomputed per-kernel successor bitsets.  Exactly the members of
-   the [condensation_sccs] component containing group 0, minus 0 — but
-   without rebuilding adjacency tables or running a full Kosaraju pass,
-   which dominates the raw merge on small programs. *)
-let cycle_with_zero succs arr =
+   [{j | 0 ->+ j and j ->+ 0}] at group granularity — exactly the members
+   of the [condensation_sccs] component containing group 0, minus 0.  One
+   forward walk over the successor lists and one backward walk over the
+   predecessor lists, both through the kernel->group index: O(kernels +
+   edges), with no per-group sets and no full Kosaraju pass. *)
+let cycle_with_zero (m : Struct_memo.memos) arr =
   let ng = Array.length arr in
-  if ng <= 1 || Array.length succs = 0 then []
+  if ng <= 1 then []
   else begin
-    let n = Bitset.universe_size succs.(0) in
-    let out =
-      Array.map
-        (fun g ->
-          let b = Bitset.create n in
-          List.iter (fun u -> Bitset.union_into b succs.(u)) g;
-          b)
-        arr
+    let idx = group_index (Array.length m.Struct_memo.succ_adj) arr in
+    let reach adj =
+      let seen = Array.make ng false and stack = Array.make ng 0 and top = ref 1 in
+      seen.(0) <- true;
+      while !top > 0 do
+        decr top;
+        iter_group_edges idx adj arr stack.(!top) (fun gj ->
+            if not seen.(gj) then begin
+              seen.(gj) <- true;
+              stack.(!top) <- gj;
+              incr top
+            end)
+      done;
+      seen
     in
-    let edge i j = i <> j && List.exists (Bitset.mem out.(i)) arr.(j) in
-    let fwd = Array.make ng false in
-    let bwd = Array.make ng false in
-    let rec dfs seen via i =
-      for j = 0 to ng - 1 do
-        if (not seen.(j)) && via i j then begin
-          seen.(j) <- true;
-          dfs seen via j
-        end
-      done
-    in
-    dfs fwd (fun i j -> edge i j) 0;
-    dfs bwd (fun i j -> edge j i) 0;
+    let fwd = reach m.Struct_memo.succ_adj and bwd = reach m.Struct_memo.pred_adj in
     let acc = ref [] in
     for j = ng - 1 downto 1 do
       if fwd.(j) && bwd.(j) then acc := j :: !acc
@@ -191,7 +192,10 @@ let cycle_with_zero succs arr =
     !acc
   end
 
-let absorbing_merge_raw obj groups seed =
+(* Not memoized (see {!Struct_memo} for why): with the default unbounded
+   verdict cache a repeat merge's feasibility probe is a cache hit, so
+   evaluation counts do not depend on it. *)
+let absorbing_merge obj groups seed =
   let exec = exec_of obj in
   let dag = Exec_order.dag exec in
   let n = Dag.num_nodes dag in
@@ -216,7 +220,7 @@ let absorbing_merge_raw obj groups seed =
       let arr = Array.of_list (Bitset.to_list !merged :: !rest) in
       let absorb_idx =
         match Objective.struct_memos obj with
-        | Some m -> cycle_with_zero m.Struct_memo.succs arr
+        | Some m -> cycle_with_zero m arr
         | None -> (
             match
               List.find_opt
@@ -235,37 +239,6 @@ let absorbing_merge_raw obj groups seed =
   done;
   let group = Bitset.to_list !merged in
   if Objective.group_feasible obj group then Some (group, !rest) else None
-
-(* The absorbed member set is a pure set-level fixpoint (closure + cycle
-   absorption), independent of the order of [groups] and [seed], so the
-   memo key is canonical and permuted-but-equal calls collide; only the
-   order-preserving [rest] is rebuilt from the live argument on a hit.
-   Memoizing the merge (feasibility probe included) skips repeat cache
-   probes; with the default unbounded verdict cache the skipped probe
-   would have been a hit, so evaluation counts are unchanged. *)
-let absorbing_merge obj groups seed =
-  match Objective.struct_memos obj with
-  | None -> absorbing_merge_raw obj groups seed
-  | Some m -> begin
-      let merged =
-        Struct_memo.find_canonical m.Struct_memo.merge groups seed
-          (fun () ->
-            match absorbing_merge_raw obj groups seed with
-            | Some (group, _) -> Some group
-            | None -> None)
-      in
-      match merged with
-      | None -> None
-      | Some group ->
-          (* Same boolean as a bitset membership test, without building
-             the bitset: the merged member list is short and sorted. *)
-          let rec mem_int (k : int) = function
-            | [] -> false
-            | x :: tl -> x = k || mem_int k tl
-          in
-          Some
-            (group, List.filter (fun g -> not (List.exists (fun k -> mem_int k group) g)) groups)
-    end
 
 let repair_schedule obj groups =
   (* Merge every multi-group condensation cycle; if the merged group is
@@ -331,14 +304,7 @@ let random_plan obj rng ?merge_attempts n =
       | [] -> ()
       | candidates -> begin
           let partner = Rng.choose rng (Array.of_list candidates) in
-          (* Deliberately the raw merge, not the memoized one: initial
-             plans are drawn from novel random partitions, so memo probes
-             at this site rarely hit and their key encoding outweighs the
-             (fast-cycle-check) merge itself — and every probe would also
-             pollute the table crossover relies on.  Memoization is
-             result-invisible, so this is a throughput choice only. *)
-          let others = List.filter (fun g' -> g' <> g && g' <> partner) !groups in
-          match absorbing_merge_raw obj others (g @ partner) with
+          match merge_pair obj !groups g partner with
           | Some (merged, rest) ->
               (* Keep the merge only when the model likes it at least half
                  the time; always-greedy initial populations collapse into

@@ -447,10 +447,10 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
       (if incremental then begin
          let dag = Exec_order.dag inputs.Inputs.exec in
          let nk = Kf_graph.Dag.num_nodes dag in
-         let succs =
-           Array.init nk (fun u -> Kf_util.Bitset.of_list nk (Kf_graph.Dag.succs dag u))
-         in
-         Some (Struct_memo.create_memos ~succs ())
+         let adj edges = Array.init nk (fun u -> Array.of_list (edges dag u)) in
+         Some
+           (Struct_memo.create_memos ~succ_adj:(adj Kf_graph.Dag.succs)
+              ~pred_adj:(adj Kf_graph.Dag.preds) ())
        end
        else None);
     stats_lock = Mutex.create ();

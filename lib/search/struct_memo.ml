@@ -157,7 +157,7 @@ type 'a table = {
   m_misses : Kf_obs.Metrics.counter;
 }
 
-let table ?shards:_ name =
+let table name =
   {
     base = Sig_tbl.create ();
     locals = [];
@@ -230,15 +230,6 @@ let find_exact_with t groups extra compute =
   Sigbuf.append_extra l.l_sb extra;
   probe t l compute
 
-let find_canonical t groups extra compute =
-  let l = local_of t in
-  Sigbuf.encode_plan l.l_sb groups;
-  let extra =
-    if Plan.is_sorted_strict extra then extra else List.sort Int.compare extra
-  in
-  Sigbuf.append_extra l.l_sb extra;
-  probe t l compute
-
 let merge_table t =
   List.iter
     (fun (_, (l : _ local)) ->
@@ -291,7 +282,7 @@ end
 
 type bitset_table = Bs_table.t
 
-let bitset_table ?shards:_ name =
+let bitset_table name =
   {
     Bs_table.base = Bs_table.H.create 256;
     locals = [];
@@ -369,26 +360,25 @@ let bitset_table_stats (t : bitset_table) =
     (0, 0) t.Bs_table.locals
 
 type memos = {
-  merge : int list option table;
   kin : Bitset.t table;
   closure : bitset_table;
   sccs : int list list table;
   refine : int list list table;
-  succs : Bitset.t array;
+  succ_adj : int array array;
+  pred_adj : int array array;
 }
 
-let create_memos ~succs () =
+let create_memos ~succ_adj ~pred_adj () =
   {
-    merge = table "merge";
     kin = table "kin";
     closure = bitset_table "closure";
     sccs = table "sccs";
     refine = table "refine";
-    succs;
+    succ_adj;
+    pred_adj;
   }
 
 let merge_memos m =
-  merge_table m.merge;
   merge_table m.kin;
   merge_bitset_table m.closure;
   merge_table m.sccs;
@@ -396,7 +386,6 @@ let merge_memos m =
 
 let memo_stats m =
   [
-    ("merge", table_stats m.merge);
     ("kin", table_stats m.kin);
     ("closure", bitset_table_stats m.closure);
     ("sccs", table_stats m.sccs);

@@ -1,19 +1,28 @@
-(** Memoization of the search's pure structural operators.
+(** Memoization of the search's pure structural operators, and the
+    per-kernel adjacency the uncached condensation walks run on.
 
-    The grouping operators (absorbing merges, kinship adjacency, path
-    closures, condensation SCCs) are pure functions of the execution
-    order, the metadata and their arguments — and profiling shows the GA
-    re-asks the same structural questions constantly (a quarter to a half
-    of all calls are exact repeats).  Each table below memoizes one
-    operator.  Keys are canonical (order-normalized) only where the
-    memoized {e value} is provably independent of argument order — the
-    absorbed member set of a merge, a group's kinship neighbor set; the
-    order-sensitive parts (the [rest] list a merge returns, the filtered
-    candidate list kinship adjacency returns) are recomputed from the
-    live argument on every hit, because downstream RNG draws
-    ([Rng.choose] over candidate lists) depend on input order.  Operators
-    whose whole result is order-sensitive ([local_refine], SCCs of a
-    group array) keep exact-order keys.
+    The grouping operators (kinship adjacency, path closures,
+    condensation SCCs, local refinement) are pure functions of the
+    execution order, the metadata and their arguments — and profiling
+    shows the GA re-asks the same structural questions constantly (a
+    quarter to a half of all calls are exact repeats).  Each table below
+    memoizes one operator.  Keys are canonical (order-normalized) only
+    where the memoized {e value} is provably independent of argument
+    order — a group's kinship neighbor set; the order-sensitive parts
+    (the filtered candidate list kinship adjacency returns) are
+    recomputed from the live argument on every hit, because downstream
+    RNG draws ([Rng.choose] over candidate lists) depend on input order.
+    Operators whose whole result is order-sensitive ([local_refine], SCCs
+    of a group array) keep exact-order keys.
+
+    The absorbing merge is deliberately {e not} memoized.  Its only
+    sound key is the whole partition plus the seed, and on a 142-kernel
+    SCALE-LES search such keys hit 0.55% of the time while the table
+    nearly tripled the live heap (about 25 to 72 MB).  The raw merge is
+    cheap: its condensation-cycle check, like the group-level acyclicity
+    test, walks the [succ_adj] / [pred_adj] lists through a kernel→group
+    index in O(kernels + edges), which costs less than encoding the
+    memo key.
 
     Sharing discipline (data-oriented, replacing the former striped
     mutexes): each memo is a read-only {e base} table shared by every
@@ -62,12 +71,10 @@ type 'a table
 (** A memo table from int-array signatures to ['a] with the base +
     per-domain-locals sharing discipline. *)
 
-val table : ?shards:int -> string -> 'a table
+val table : string -> 'a table
 (** [table name] creates an empty memo table; [name] labels its
     process-wide metrics counters ([struct_memo.<name>.hits] /
-    [.misses], flushed at merge points rather than per probe).
-    [?shards] is accepted for compatibility and ignored — probes are
-    lock-free, there are no stripes anymore. *)
+    [.misses], flushed at merge points rather than per probe). *)
 
 val find_group : 'a table -> int list -> (unit -> 'a) -> 'a
 (** Probe keyed by one group's canonical signature
@@ -84,11 +91,6 @@ val find_exact_with : 'a table -> int list list -> int list -> (unit -> 'a) -> '
 (** Like {!find_exact} with trailing scalar arguments appended to the
     key after a [-2] separator. *)
 
-val find_canonical : 'a table -> int list list -> int list -> (unit -> 'a) -> 'a
-(** Probe keyed by the canonical partition signature plus the sorted
-    extra members — permuted-but-equal arguments collide.  Only for
-    operators whose memoized value is order-free. *)
-
 val merge_table : 'a table -> unit
 (** Fold every domain's private entries into the shared base
     (insert-if-absent) and clear the private tables.  Must only be
@@ -104,8 +106,8 @@ type bitset_table
     round-trips an int-array key would cost on the hottest memo (path
     closures). *)
 
-val bitset_table : ?shards:int -> string -> bitset_table
-(** Like {!table}; [?shards] is likewise ignored. *)
+val bitset_table : string -> bitset_table
+(** Like {!table}. *)
 
 val find_or_compute_bitset : bitset_table -> Kf_util.Bitset.t -> (unit -> Kf_util.Bitset.t) -> Kf_util.Bitset.t
 (** Like {!find_group} for bitsets, but both key and value are interned
@@ -116,11 +118,6 @@ val merge_bitset_table : bitset_table -> unit
 val bitset_table_stats : bitset_table -> int * int
 
 type memos = {
-  merge : int list option table;
-      (** the absorbed member set (sorted) of [Grouping.absorbing_merge],
-          or [None] for an infeasible merge — keyed canonically by
-          (other groups, seed); the order-preserving [rest] is rebuilt
-          from the live argument on each hit *)
   kin : Kf_util.Bitset.t table;
       (** a group's kinship neighbor set, keyed by the sorted group; the
           cached bitset is read-only *)
@@ -132,14 +129,15 @@ type memos = {
       (** [Grouping.local_refine] keyed by the exact-order input plus the
           pass bound — the per-generation champion rarely changes, so
           repeat refinements are hits *)
-  succs : Kf_util.Bitset.t array;
-      (** per-kernel direct-successor bitsets of the (fixed) execution
-          DAG, precomputed once — the group-level cycle check on memo
-          misses runs on these instead of rebuilding adjacency tables *)
+  succ_adj : int array array;
+      (** per-kernel direct successors of the (fixed) execution DAG,
+          built once — the forward condensation walks enumerate these *)
+  pred_adj : int array array;
+      (** per-kernel direct predecessors, for the backward walk *)
 }
 (** The bundle of operator memos an incremental objective owns. *)
 
-val create_memos : succs:Kf_util.Bitset.t array -> unit -> memos
+val create_memos : succ_adj:int array array -> pred_adj:int array array -> unit -> memos
 
 val merge_memos : memos -> unit
 (** {!merge_table} / {!merge_bitset_table} over every memo.  Call at

@@ -208,6 +208,84 @@ let prop_incremental_matches_full =
       done;
       !agree)
 
+(* The incremental objective answers the condensation questions with
+   linear walks over per-kernel adjacency; the full objective runs
+   Kosaraju ([condensation_sccs]).  At the paper's scale (40-150 kernels)
+   and on partitions whose condensation has cycles, every structural
+   operator must return exactly the same groups — members and [rest]
+   order.  The walks are structural, so synthetic runtimes suffice. *)
+let prop_condensation_walks_match_kosaraju =
+  QCheck.Test.make ~count:20
+    ~name:"linear condensation walks match Kosaraju at paper scale on cyclic partitions"
+    (QCheck.int_bound 10_000)
+    (fun seed ->
+      let n = 40 + (seed mod 111) in
+      let p =
+        Suite.generate
+          { Suite.default with Suite.kernels = n; arrays = 3 * n / 2; data_copies = n / 3; seed }
+      in
+      let meta = Metadata.build p in
+      let exec = Exec_order.build (Datadep.build p) in
+      let measured_runtime = Array.init n (fun k -> 1e-5 *. float_of_int (1 + (k mod 7))) in
+      let mk incremental =
+        Objective.create ~incremental (Inputs.make ~device ~meta ~exec ~measured_runtime)
+      in
+      let obj_inc = mk true and obj_full = mk false in
+      let rng = Rng.create (seed + 5) in
+      let dag = Exec_order.dag exec in
+      (* Endpoints of paths [a ->+ b ->+ c]: grouping [a] with [c] but not
+         [b] gives the condensation the cycle {a,c} ->+ b ->+ {a,c}. *)
+      let kernels = List.init n Fun.id in
+      let after a = List.filter (fun b -> b <> a && Kf_graph.Dag.reaches dag a b) kernels in
+      let jumps =
+        List.concat_map
+          (fun a -> List.concat_map (fun b -> List.map (fun c -> (a, c)) (after b)) (after a))
+          kernels
+        |> Array.of_list
+      in
+      let unite gs a c =
+        let ga = List.find (List.mem a) gs and gc = List.find (List.mem c) gs in
+        if ga == gc then gs
+        else (ga @ gc) :: List.filter (fun g -> g != ga && g != gc) gs
+      in
+      let with_jumps base k =
+        let gs = ref base in
+        for _ = 1 to k do
+          let a, c = Rng.choose rng jumps in
+          gs := unite !gs a c
+        done;
+        !gs
+      in
+      let buckets =
+        let nb = 1 + (n / 4) in
+        let b = Array.make nb [] in
+        for k = n - 1 downto 0 do
+          let i = Rng.int rng nb in
+          b.(i) <- k :: b.(i)
+        done;
+        List.filter (( <> ) []) (Array.to_list b)
+      in
+      let singletons = List.map (fun k -> [ k ]) kernels in
+      let planned = Grouping.random_plan obj_inc rng n in
+      let partitions =
+        [ with_jumps singletons 1; with_jumps singletons 4; with_jumps planned 3; buckets ]
+      in
+      let agree = ref true in
+      let same f = if f obj_inc <> f obj_full then agree := false in
+      List.iter
+        (fun gs ->
+          same (fun o -> Grouping.schedulable o gs);
+          same (fun o -> Grouping.repair_schedule o gs);
+          let arr = Array.of_list gs in
+          for _ = 1 to 4 do
+            let a = Rng.choose rng arr and b = Rng.choose rng arr in
+            same (fun o -> Grouping.absorbing_merge o gs a);
+            if a != b then same (fun o -> Grouping.merge_pair o gs a b)
+          done)
+        partitions;
+      (* The jump partitions must really exercise the cyclic case. *)
+      !agree && not (Grouping.schedulable obj_full (List.hd partitions)))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -221,4 +299,5 @@ let suite =
       prop_projection_below_roofline_performance;
       prop_plan_cost_additive;
       prop_incremental_matches_full;
+      prop_condensation_walks_match_kosaraju;
     ]
