@@ -14,12 +14,18 @@ let make ~id ~name ~accesses ?(extra_flops_per_site = 0.) ?(registers_per_thread
   let ids = List.map (fun (a : Access.t) -> a.array) accesses in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Kernel.make: duplicate array reference (merge modes into one access)";
+  (* Every comparison with NaN is false, so finiteness is checked
+     explicitly before the range checks. *)
+  if not (Float.is_finite extra_flops_per_site) then
+    invalid_arg "Kernel.make: non-finite extra flops";
   if extra_flops_per_site < 0. then invalid_arg "Kernel.make: negative extra flops";
+  if List.exists (fun (a : Access.t) -> not (Float.is_finite a.flops)) accesses then
+    invalid_arg "Kernel.make: non-finite access flops";
   if List.exists (fun (a : Access.t) -> a.flops < 0.) accesses then
     invalid_arg "Kernel.make: negative access flops";
   if registers_per_thread <= 0 || addr_registers < 0 then
     invalid_arg "Kernel.make: bad register counts";
-  if active_fraction <= 0. || active_fraction > 1.0 then
+  if not (active_fraction > 0. && active_fraction <= 1.0) then
     invalid_arg "Kernel.make: active_fraction out of (0,1]";
   {
     id;

@@ -34,7 +34,8 @@ val make :
 (** Defaults: no extra flops, 32 registers per thread, 6 address
     registers, all threads active.
     @raise Invalid_argument on empty accesses, duplicate array references,
-    negative flops or register counts. *)
+    negative or non-finite flops, bad register counts, or an
+    [active_fraction] outside (0,1] (NaN included). *)
 
 val flops_per_site : t -> float
 (** Total per-site flop count: sum over accesses plus

@@ -89,12 +89,18 @@ let kv_int line kvs key default =
       match int_of_string_opt v with Some n -> n | None -> fail line "bad integer %S for %s" v key
     end
 
+(* [float_of_string] accepts "nan" and "inf"; no kernel attribute is
+   meaningful at a non-finite value, so those are parse errors too. *)
+let finite line what v =
+  match float_of_string_opt v with
+  | Some f when Float.is_finite f -> f
+  | Some _ -> fail line "non-finite %s %S" what v
+  | None -> fail line "bad %s %S" what v
+
 let kv_float line kvs key default =
   match List.assoc_opt key kvs with
   | None -> default
-  | Some v -> begin
-      match float_of_string_opt v with Some f -> f | None -> fail line "bad number %S for %s" v key
-    end
+  | Some v -> finite line ("number for " ^ key) v
 
 let array_id st line name =
   let arrays = List.rev st.arrays in
@@ -168,16 +174,12 @@ let parse_line st lineno raw =
                   match List.rev offs with
                   | last :: before when float_of_string_opt last <> None
                                         && not (String.contains last '(') ->
-                      (List.rev before, float_of_string last)
+                      (List.rev before, finite lineno "flops" last)
                   | _ -> (offs, 0.)
                 in
                 (parse_offsets lineno (String.concat "" offs), flops)
             | [ stencil ] -> (parse_stencil lineno stencil, 0.)
-            | [ stencil; flops ] -> begin
-                match float_of_string_opt flops with
-                | Some f -> (parse_stencil lineno stencil, f)
-                | None -> fail lineno "bad flops %S" flops
-              end
+            | [ stencil; flops ] -> (parse_stencil lineno stencil, finite lineno "flops" flops)
             | _ -> fail lineno "access syntax: <mode> <array> [stencil [flops]]"
           in
           let array = array_id st lineno name in

@@ -25,8 +25,9 @@
     Access lines are [read|write|readwrite <array> <stencil> [flops]] with
     stencils named [point], [star5], [star9], [asym4], [cross3v],
     [star:<radius>], [box:<radius>], [load:<points>], or given explicitly
-    as [offsets (di,dj,dk)(di,dj,dk)…].  Ids are assigned in declaration
-    order. *)
+    as [offsets (di,dj,dk)(di,dj,dk)…].  Numeric values must be finite
+    ([nan], [inf] and [-inf] are parse errors).  Ids are assigned in
+    declaration order. *)
 
 exception Parse_error of int * string
 (** Line number (1-based) and message. *)

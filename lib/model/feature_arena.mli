@@ -1,20 +1,22 @@
 (** Structure-of-arrays feature arena for allocation-free group evaluation.
 
-    The legacy evaluation leaf rebuilds a {!Kf_fusion.Fused.t} — lists,
-    closures, a record — for every candidate group, tens of millions of
-    times per search.  The arena precomputes every immutable per-kernel,
+    Building a {!Kf_fusion.Fused.t} — lists, closures, a record — for
+    every candidate group would cost tens of millions of allocations per
+    search.  The arena precomputes every immutable per-kernel,
     per-array and per-edge feature the models read (the paper's Table III
     metadata plus the derived graph features) into flat arrays {e once per
     program}, and turns one group evaluation into index arithmetic over a
     per-domain scratch buffer: no allocation on the hot path.
 
-    The arena path is {e bit-identical} to the legacy path: structural
+    The arena path is {e bit-identical} to that legacy path: structural
     predicates are boolean-identical reformulations, integer features are
     the same max/sum over the same multisets, float folds replay the legacy
     association in the legacy (execution) order, and the one aggregation
     whose float order is an implementation artifact — per-array GMEM
     traffic — runs the very same code via {!Kf_fusion.Fused.gmem_bytes_iter}.
-    [test/test_arena.ml] enforces the equivalence differentially.
+    [test/test_arena.ml] enforces the equivalence differentially against
+    the legacy leaf, which the test suite keeps as its oracle
+    ([test/oracle]).
 
     Because almost all of the per-group work ({!analyze} and everything
     before it) is device-independent, an arena built over several devices'

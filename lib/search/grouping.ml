@@ -128,36 +128,26 @@ let group_dag_acyclic (m : Struct_memo.memos) arr =
 
 (* Structural operators are pure functions of the (fixed) execution
    order, metadata and their arguments, and the GA re-asks the same
-   structural questions constantly; on an incremental objective each of
-   the wrappers below memoizes its operator under an exact-order
-   signature (see {!Struct_memo} for why the keys must not be
-   canonicalized).  With memoization off ([--no-incremental]) the raw
-   computation runs every time — the PR 3 behavior. *)
-let sccs_of obj exec groups_arr =
-  match Objective.struct_memos obj with
-  | None -> condensation_sccs exec groups_arr
-  | Some m ->
-      Struct_memo.find_exact m.Struct_memo.sccs
-        (Array.to_list groups_arr)
-        (fun () ->
-          if group_dag_acyclic m groups_arr then
-            List.init (Array.length groups_arr) (fun i -> [ i ])
-          else condensation_sccs exec groups_arr)
+   structural questions constantly; each of the wrappers below memoizes
+   its operator under an exact-order signature in the objective's memo
+   bundle (see {!Struct_memo} for why the keys must not be
+   canonicalized). *)
+let sccs_of obj groups_arr =
+  let m = Objective.memos obj in
+  Struct_memo.find_exact m.Struct_memo.sccs (Array.to_list groups_arr) (fun () ->
+      if group_dag_acyclic m groups_arr then
+        List.init (Array.length groups_arr) (fun i -> [ i ])
+      else condensation_sccs (exec_of obj) groups_arr)
 
 (* Memo hits return a fresh bitset (the table copies on both sides):
    callers mutate the closure in place, and a shared cached bitset would
    be corrupted by the first caller. *)
 let closure_of obj dag bs =
-  match Objective.struct_memos obj with
-  | None -> Dag.path_closure dag bs
-  | Some m ->
-      Struct_memo.find_or_compute_bitset m.Struct_memo.closure bs (fun () ->
-          Dag.path_closure dag bs)
+  Struct_memo.find_or_compute_bitset (Objective.memos obj).Struct_memo.closure bs (fun () ->
+      Dag.path_closure dag bs)
 
 let schedulable obj groups =
-  List.for_all
-    (fun scc -> List.length scc <= 1)
-    (sccs_of obj (exec_of obj) (Array.of_list groups))
+  List.for_all (fun scc -> List.length scc <= 1) (sccs_of obj (Array.of_list groups))
 
 (* Group indices (never 0 itself) in a condensation cycle with group 0:
    [{j | 0 ->+ j and j ->+ 0}] at group granularity — exactly the members
@@ -218,18 +208,7 @@ let absorbing_merge obj groups seed =
          group (the merge may have created mutual dependencies with
          otherwise-untouched groups). *)
       let arr = Array.of_list (Bitset.to_list !merged :: !rest) in
-      let absorb_idx =
-        match Objective.struct_memos obj with
-        | Some m -> cycle_with_zero m arr
-        | None -> (
-            match
-              List.find_opt
-                (fun scc -> List.mem 0 scc && List.length scc > 1)
-                (sccs_of obj exec arr)
-            with
-            | None -> []
-            | Some scc -> List.filter (( <> ) 0) scc)
-      in
+      let absorb_idx = cycle_with_zero (Objective.memos obj) arr in
       match absorb_idx with
       | [] -> stable := true
       | _ ->
@@ -248,7 +227,7 @@ let repair_schedule obj groups =
   let continue_ = ref true in
   while !continue_ do
     let arr = Array.of_list !result in
-    match List.find_opt (fun scc -> List.length scc > 1) (sccs_of obj (exec_of obj) arr) with
+    match List.find_opt (fun scc -> List.length scc > 1) (sccs_of obj arr) with
     | None -> continue_ := false
     | Some scc ->
         let in_scc = List.concat_map (fun gi -> arr.(gi)) scc in
@@ -271,25 +250,17 @@ let kin_neighbor_list obj group =
   |> List.sort_uniq compare
   |> List.filter (fun k -> not (List.mem k group))
 
-let kin_adjacent_raw obj groups group =
-  let neighbors = kin_neighbor_list obj group in
-  List.filter (fun g -> g <> group && List.exists (fun k -> List.mem k neighbors) g) groups
-
 (* The adjacency predicate depends only on the probe group's (fixed,
    metadata-derived) kinship neighbor set, never on the rest of the
    partition — so the memo caches that set per group, and the
    order-preserving filter over [groups] runs on every call. *)
 let kin_adjacent_groups obj groups group =
-  match Objective.struct_memos obj with
-  | None -> kin_adjacent_raw obj groups group
-  | Some m ->
-      let nb =
-        Struct_memo.find_group m.Struct_memo.kin group
-          (fun () ->
-            let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
-            Bitset.of_list n (kin_neighbor_list obj group))
-      in
-      List.filter (fun g -> g <> group && List.exists (Bitset.mem nb) g) groups
+  let nb =
+    Struct_memo.find_group (Objective.memos obj).Struct_memo.kin group (fun () ->
+        let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
+        Bitset.of_list n (kin_neighbor_list obj group))
+  in
+  List.filter (fun g -> g <> group && List.exists (Bitset.mem nb) g) groups
 
 let random_plan obj rng ?merge_attempts n =
   let attempts = match merge_attempts with Some a -> a | None -> 2 * n in
@@ -457,11 +428,8 @@ let local_refine_raw ~max_passes obj groups =
    are hits.  The objective probes a hit skips would all be cache hits
    themselves, so evaluation counts are unchanged. *)
 let local_refine ?(max_passes = 3) obj groups =
-  match Objective.struct_memos obj with
-  | None -> local_refine_raw ~max_passes obj groups
-  | Some m ->
-      Struct_memo.find_exact_with m.Struct_memo.refine groups [ max_passes ]
-        (fun () -> local_refine_raw ~max_passes obj groups)
+  Struct_memo.find_exact_with (Objective.memos obj).Struct_memo.refine groups [ max_passes ]
+    (fun () -> local_refine_raw ~max_passes obj groups)
 
 let enforce_profitability obj groups =
   normalize

@@ -44,6 +44,12 @@ val schedulable : Objective.t -> groups -> bool
     not by itself guarantee.  A plan that fails this cannot be emitted as
     a host invocation sequence. *)
 
+val condensation_sccs : Kf_graph.Exec_order.t -> int list array -> int list list
+(** Strongly connected components (Kosaraju) of the condensed per-group
+    dependency graph, as lists of indices into the group array; kernels
+    in no group carry no condensation edges.  {!schedulable} and
+    {!repair_schedule} fall back to it when the condensation is cyclic. *)
+
 val repair_schedule : Objective.t -> groups -> groups
 (** Restore schedulability: every multi-group condensation cycle is merged
     (absorbing merge), or dissolved into singletons when the merge is

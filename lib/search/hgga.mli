@@ -124,8 +124,8 @@ type stats = {
       (** group-cache counters at the end of the run, cumulative across
           resumes (Snapshot v4 persists them) *)
   plan_cache : Objective.cache_stats;
-      (** plan-level cache counters (all zero on [--no-incremental]
-          runs) *)
+      (** plan-level cache counters at the end of the run, cumulative
+          across resumes *)
 }
 
 type result = {

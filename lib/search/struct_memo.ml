@@ -14,8 +14,8 @@ module Sigbuf = Plan.Sigbuf
    discipline on top — a read-only [base] table shared by all domains
    plus one private table per domain, merged into the base at
    generation barriers.  Probes take no lock at all, which is the point:
-   memo probes are the dominant per-call cost of the incremental
-   objective's structural operators, and the striped-mutex version of
+   memo probes are the dominant per-call cost of the objective's
+   structural operators, and the striped-mutex version of
    this module was a scaling bottleneck at domains > 1.
 
    Probes use a *borrowed* key: the caller encodes the signature into a

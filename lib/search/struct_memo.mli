@@ -135,7 +135,7 @@ type memos = {
   pred_adj : int array array;
       (** per-kernel direct predecessors, for the backward walk *)
 }
-(** The bundle of operator memos an incremental objective owns. *)
+(** The bundle of operator memos every objective owns. *)
 
 val create_memos : succ_adj:int array array -> pred_adj:int array array -> unit -> memos
 

@@ -1,9 +1,10 @@
 (* Differential tests of the allocation-free feature arena and the
    multi-device portfolio: the arena evaluation leaf must be
-   bit-identical to the legacy Fused.build-per-candidate leaf on every
-   device and model, and a portfolio must observe the search without
-   perturbing it (exactly-once row accounting, device-order-invariant
-   Pareto front). *)
+   bit-identical to the legacy Fused.build-per-candidate leaf (kept in
+   [Kf_oracle], installed as the objective's guard) on every device and
+   model, and a portfolio must observe the search without perturbing it
+   (exactly-once row accounting, device-order-invariant Pareto
+   front). *)
 
 module Device = Kf_gpu.Device
 module Program = Kf_ir.Program
@@ -11,6 +12,8 @@ module Metadata = Kf_ir.Metadata
 module Datadep = Kf_graph.Datadep
 module Exec_order = Kf_graph.Exec_order
 module Plan = Kf_fusion.Plan
+module Fused = Kf_fusion.Fused
+module Feature_arena = Kf_model.Feature_arena
 module Measure = Kf_sim.Measure
 module Inputs = Kf_model.Inputs
 module Objective = Kf_search.Objective
@@ -40,7 +43,9 @@ let bits = Int64.bits_of_float
 let models = [| Objective.Proposed; Objective.Roofline; Objective.Simple; Objective.Mwp |]
 
 (* The tentpole contract: for any program, device and model, the arena
-   leaf returns the same verdict bits as the legacy leaf. *)
+   leaf returns the same verdict bits as the legacy leaf.  The oracle
+   guard ignores the objective's own leaf, so [ol] is the legacy-leaf
+   objective. *)
 let prop_arena_matches_legacy =
   QCheck.Test.make ~count:15
     ~name:"arena verdicts bit-identical to legacy leaf (every device, every model)"
@@ -52,7 +57,7 @@ let prop_arena_matches_legacy =
         (fun device ->
           let i = inputs_for ~device ctx in
           let oa = Objective.create ~model i in
-          let ol = Objective.create ~model ~arena:false i in
+          let ol = Objective.create ~model ~guard:(Kf_oracle.guard model i) i in
           let p, _, _ = ctx in
           let rng = Rng.create ((seed * 17) + 1) in
           let groups = Grouping.random_plan oa rng (Program.num_kernels p) in
@@ -79,7 +84,9 @@ let prop_search_identical =
           stall_generations = 15; seed = seed + 1 }
       in
       let ra = Hgga.solve ~params (Objective.create i) in
-      let rl = Hgga.solve ~params (Objective.create ~arena:false i) in
+      let rl =
+        Hgga.solve ~params (Objective.create ~guard:(Kf_oracle.guard Objective.Proposed i) i)
+      in
       Plan.equal ra.Hgga.plan rl.Hgga.plan
       && bits ra.Hgga.cost = bits rl.Hgga.cost
       && ra.Hgga.stats.Hgga.evaluations = rl.Hgga.stats.Hgga.evaluations
@@ -179,16 +186,17 @@ let test_device_table () =
     Device.extended;
   Alcotest.(check bool) "unknown name rejected" true (Device.of_name "tpu" = None)
 
-(* The alloc_per_eval gauge: with metrics enabled both leaves record
-   samples, and the arena leaf allocates strictly less than the legacy
-   Fused.build-per-candidate leaf. *)
+(* The alloc_per_eval gauge: with metrics enabled the arena leaf
+   records samples, and it allocates strictly less per evaluation than
+   the legacy Fused.build-per-candidate leaf, measured around direct
+   oracle calls on the same multi-member groups. *)
 let test_alloc_gauge () =
   let ctx = context_of_seed 3 in
   let i = inputs_for ~device:Device.k20x ctx in
   let oa = Objective.create i in
-  let ol = Objective.create ~arena:false i in
   let p, _, _ = ctx in
   let n = Program.num_kernels p in
+  let legacy_words = ref 0. and legacy_calls = ref 0 in
   Kf_obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Kf_obs.Metrics.set_enabled false)
@@ -197,14 +205,57 @@ let test_alloc_gauge () =
       for _ = 1 to 10 do
         let groups = Grouping.random_plan oa rng n in
         ignore (Objective.plan_cost oa groups);
-        ignore (Objective.plan_cost ol groups)
+        List.iter
+          (fun g ->
+            if List.length g >= 2 then begin
+              let w0 = Gc.minor_words () in
+              ignore (Kf_oracle.evaluate_legacy Objective.Proposed i g);
+              legacy_words := !legacy_words +. (Gc.minor_words () -. w0);
+              incr legacy_calls
+            end)
+          (Plan.canonical_groups groups)
       done);
-  let aa = Objective.alloc_per_eval oa and al = Objective.alloc_per_eval ol in
+  let aa = Objective.alloc_per_eval oa in
   Alcotest.(check bool) "arena leaf records samples" true (aa > 0.);
-  Alcotest.(check bool) "legacy leaf records samples" true (al > 0.);
+  Alcotest.(check bool) "legacy leaf measured" true (!legacy_calls > 0);
+  let al = !legacy_words /. float_of_int !legacy_calls in
   Alcotest.(check bool)
     (Printf.sprintf "arena allocates less than legacy (%.0f < %.0f words/eval)" aa al)
     true (aa < al)
+
+(* The arena's resource accessors are the only source of a fused
+   plane's register and SMEM pressure in horizontal packs: for random
+   feasible groups on every device they must equal [Fused.build]'s. *)
+let prop_arena_pressure_matches_fused =
+  QCheck.Test.make ~count:15
+    ~name:"arena registers and SMEM per block equal Fused.build on feasible groups"
+    QCheck.small_int
+    (fun seed ->
+      let ((p, meta, exec) as ctx) = context_of_seed seed in
+      List.for_all
+        (fun device ->
+          let i = inputs_for ~device ctx in
+          let obj = Objective.create i in
+          let a = Feature_arena.create i ~extra:[] in
+          let rng = Rng.create ((seed * 7) + 3) in
+          let groups =
+            List.concat_map
+              (fun _ -> Grouping.random_plan obj rng (Program.num_kernels p))
+              [ 1; 2; 3 ]
+          in
+          List.for_all
+            (fun g ->
+              List.length g < 2
+              || (not (Objective.group_feasible obj g))
+              ||
+              let f = Fused.build ~device ~meta ~exec ~group:g in
+              let scr = Feature_arena.load a g in
+              Feature_arena.analyze scr;
+              Feature_arena.fuse scr ~dev:0;
+              Feature_arena.registers_per_thread scr = f.Fused.registers_per_thread
+              && Feature_arena.smem_bytes_per_block scr = f.Fused.smem_bytes_per_block)
+            groups)
+        Device.extended)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -213,6 +264,7 @@ let suite =
       prop_search_identical;
       prop_portfolio_transparent;
       prop_pareto_order_invariant;
+      prop_arena_pressure_matches_fused;
     ]
   @ [
       Alcotest.test_case "extended device table" `Quick test_device_table;

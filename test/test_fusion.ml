@@ -261,7 +261,7 @@ let test_codegen_host () =
 (* Arena-encoded signatures must be bit-identical to the allocating
    reference encoders for arbitrary (even messy: unsorted members,
    shuffled groups) partitions — they interoperate with signature arrays
-   persisted in snapshots and with [--no-incremental] reruns, so any
+   persisted in snapshots and in the serve daemon's warm cache, so any
    drift would split caches that must agree.  One Sigbuf is reused
    across all cases, exercising arena reuse and growth. *)
 let prop_sigbuf_roundtrip =

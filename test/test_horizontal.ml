@@ -27,10 +27,10 @@ let ctx = lazy (Pipeline.prepare ~device (program ()))
 let fast_params =
   { Hgga.default_params with Hgga.max_generations = 60; stall_generations = 20 }
 
-let solve ?(params = fast_params) ?(horizontal = true) ?(domains = 1)
-    ?(incremental = true) ?(arena = true) ?checkpoint ?resume_from () =
+let solve ?(params = fast_params) ?(horizontal = true) ?(domains = 1) ?guard ?checkpoint
+    ?resume_from () =
   let ctx = Lazy.force ctx in
-  let obj = Pipeline.objective ~domains ~incremental ~arena ctx in
+  let obj = Pipeline.objective ?guard ctx in
   Hgga.solve
     ~params:{ params with Hgga.horizontal; domains }
     ?checkpoint ?resume_from obj
@@ -212,19 +212,19 @@ let test_measured_agrees_with_projection () =
 (* Determinism contract with horizontal search on                      *)
 
 let test_determinism_matrix () =
-  (* Fixed islands: bit-identical results for any domain count, with
-     incremental on/off and arena on/off. *)
+  (* Fixed islands: bit-identical results for any domain count, and
+     with the legacy Fused.build leaf installed as the guard. *)
   let params = { fast_params with Hgga.islands = 2 } in
   let base = solve ~params () in
+  let oracle = Kf_oracle.guard Objective.Proposed (Lazy.force ctx).Pipeline.inputs in
   List.iter
-    (fun (name, domains, incremental, arena) ->
-      let r = solve ~params ~domains ~incremental ~arena () in
+    (fun (name, domains, guard) ->
+      let r = solve ~params ~domains ?guard () in
       check Alcotest.bool name true (same_result base r))
     [
-      ("domains 4", 4, true, true);
-      ("no-incremental", 1, false, true);
-      ("no-arena", 1, true, false);
-      ("all off, domains 4", 4, false, false);
+      ("domains 4", 4, None);
+      ("oracle guard", 1, Some oracle);
+      ("oracle guard, domains 4", 4, Some oracle);
     ]
 
 let test_vertical_only_unchanged () =

@@ -120,6 +120,42 @@ let test_kernel_active_threads () =
         (Kernel.make ~id:0 ~name:"k" ~accesses:[ acc 0 Access.Read Stencil.point 1. ]
            ~active_fraction:0. ()))
 
+(* Every comparison with NaN is false, so range checks alone admit it;
+   non-finite numerics must be rejected by name, both at the parser and
+   at Kernel.make. *)
+let test_kernel_non_finite () =
+  let text attrs flops =
+    Printf.sprintf "program x\ngrid 8 8 1 blocks 8 8\narray a\nkernel k0 %s\n  read a point %s\n"
+      attrs flops
+  in
+  let rejected ~line name t =
+    match Program_io.parse t with
+    | exception Program_io.Parse_error (l, _) -> check Alcotest.int (name ^ " error line") line l
+    | _ -> Alcotest.fail (name ^ ": accepted")
+  in
+  ignore (Program_io.parse (text "active 0.5 extra 1" "2.0"));
+  List.iter
+    (fun v ->
+      rejected ~line:4 ("kernel active " ^ v) (text ("active " ^ v) "1.0");
+      rejected ~line:4 ("kernel extra " ^ v) (text ("extra " ^ v) "1.0");
+      rejected ~line:5 ("access flops " ^ v) (text "" v);
+      let mk ?(extra = 0.) ?(active = 1.) flops () =
+        ignore
+          (Kernel.make ~id:0 ~name:"k" ~accesses:[ acc 0 Access.Read Stencil.point flops ]
+             ~extra_flops_per_site:extra ~active_fraction:active ())
+      in
+      let f = float_of_string v in
+      Alcotest.check_raises ("make active " ^ v)
+        (Invalid_argument "Kernel.make: active_fraction out of (0,1]") (mk ~active:f 1.);
+      Alcotest.check_raises ("make extra " ^ v)
+        (Invalid_argument "Kernel.make: non-finite extra flops") (mk ~extra:f 1.);
+      Alcotest.check_raises ("make flops " ^ v)
+        (Invalid_argument "Kernel.make: non-finite access flops") (mk f))
+    [ "nan"; "inf"; "-inf" ];
+  ignore (Program_io.parse "program x\ngrid 8 8 1 blocks 8 8\narray a\nkernel k0\n  read a offsets (0,0,0) 1.5\n");
+  rejected ~line:5 "offsets trailing flops"
+    "program x\ngrid 8 8 1 blocks 8 8\narray a\nkernel k0\n  read a offsets (0,0,0) nan\n"
+
 (* --- Program --- *)
 
 let tiny_program () =
@@ -232,6 +268,7 @@ let suite =
     Alcotest.test_case "kernel validation" `Quick test_kernel_validation;
     Alcotest.test_case "kernel derived" `Quick test_kernel_derived;
     Alcotest.test_case "kernel active threads" `Quick test_kernel_active_threads;
+    Alcotest.test_case "kernel non-finite numerics" `Quick test_kernel_non_finite;
     Alcotest.test_case "program valid" `Quick test_program_valid;
     Alcotest.test_case "program bad ids" `Quick test_program_bad_ids;
     Alcotest.test_case "program untouched array" `Quick test_program_untouched_array;

@@ -165,29 +165,56 @@ let prop_plan_cost_additive =
           let sum = List.fold_left (fun acc g -> acc +. Objective.group_cost obj g) 0. groups in
           Float.abs (total -. sum) < 1e-12)
 
+(* Random launch composition over a partition: groups shuffled, then cut
+   into packs of one to three planes.  Legality is left to the
+   evaluators, so dependent planes exercise the infeasible branch. *)
+let random_comps rng groups =
+  let arr = Array.of_list groups in
+  for i = Array.length arr - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let t = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- t
+  done;
+  let rec cut = function
+    | [] -> []
+    | gs ->
+        let k = min (List.length gs) (1 + Rng.int rng 3) in
+        List.filteri (fun i _ -> i < k) gs :: cut (List.filteri (fun i _ -> i >= k) gs)
+  in
+  cut (Array.to_list arr)
+
 let prop_incremental_matches_full =
   QCheck.Test.make ~count:20
-    ~name:"incremental plan cost is bitwise-identical to full evaluation under mutation"
+    ~name:"incremental plan cost is bitwise-identical to the uncached oracle sum under mutation"
     QCheck.small_int
     (fun seed ->
       let p, meta, exec = context_of_seed seed in
       let measured_runtime =
         Array.map (fun r -> r.Measure.runtime_s) (Measure.program_results ~device p)
       in
-      let mk incremental =
-        Objective.create ~incremental (Inputs.make ~device ~meta ~exec ~measured_runtime)
-      in
-      let obj_inc = mk true and obj_full = mk false in
+      let inputs = Inputs.make ~device ~meta ~exec ~measured_runtime in
+      let obj = Objective.create inputs in
       let n = Program.num_kernels p in
       let rng = Rng.create (seed + 11) in
-      let groups = ref (Grouping.random_plan obj_inc rng n) in
+      let groups = ref (Grouping.random_plan obj rng n) in
       let agree = ref true in
+      let same a b = if Int64.bits_of_float a <> Int64.bits_of_float b then agree := false in
+      let base = ref None in
       (* Walk a random mutation sequence with the search's own operators,
-         checking both evaluation modes agree bit-for-bit at every step. *)
+         checking the cached plan and composition evaluations against the
+         uncached canonical-order oracle sums bit-for-bit at every step
+         (each plan evaluation diffs against the previous step's). *)
       for _ = 1 to 10 do
-        let ci = Objective.plan_cost obj_inc !groups in
-        let cf = Objective.plan_cost obj_full !groups in
-        if Int64.bits_of_float ci <> Int64.bits_of_float cf then agree := false;
+        let oracle = Kf_oracle.plan_sum Objective.Proposed inputs !groups in
+        let pe = Objective.eval_plan obj ?base:!base !groups in
+        same (Objective.plan_eval_total pe) oracle;
+        same (Objective.plan_cost obj !groups) oracle;
+        base := Some pe;
+        let comps = random_comps rng !groups in
+        let coracle = Kf_oracle.comp_sum Objective.Proposed inputs comps in
+        same (Objective.plan_eval_total (Objective.eval_cplan obj comps)) coracle;
+        same (Objective.cplan_cost obj comps) coracle;
         let gs = !groups in
         (match Rng.int rng 3 with
         | 0 -> (
@@ -196,24 +223,26 @@ let prop_incremental_matches_full =
             | multi ->
                 groups := Grouping.dissolve gs (List.nth multi (Rng.int rng (List.length multi))))
         | 1 -> (
-            match Grouping.eject obj_inc gs (Rng.int rng n) with
+            match Grouping.eject obj gs (Rng.int rng n) with
             | Some gs' -> groups := gs'
             | None -> ())
         | _ -> (
             let g = List.nth gs (Rng.int rng (List.length gs)) in
-            match Grouping.absorbing_merge obj_inc gs g with
+            match Grouping.absorbing_merge obj gs g with
             | Some (g', rest) -> groups := g' :: rest
             | None -> ()));
         groups := Grouping.normalize !groups
       done;
       !agree)
 
-(* The incremental objective answers the condensation questions with
-   linear walks over per-kernel adjacency; the full objective runs
-   Kosaraju ([condensation_sccs]).  At the paper's scale (40-150 kernels)
-   and on partitions whose condensation has cycles, every structural
-   operator must return exactly the same groups — members and [rest]
-   order.  The walks are structural, so synthetic runtimes suffice. *)
+(* The objective answers the condensation questions with linear walks
+   over per-kernel adjacency; the oracle runs Kosaraju
+   ([Grouping.condensation_sccs]) over plain path closures.  At the
+   paper's scale (40-150 kernels) and on partitions whose condensation
+   has cycles, every structural operator must return exactly the same
+   groups — members and [rest] order — and the memoized kinship
+   adjacency must match the recomputed one.  The walks are structural,
+   so synthetic runtimes suffice. *)
 let prop_condensation_walks_match_kosaraju =
   QCheck.Test.make ~count:20
     ~name:"linear condensation walks match Kosaraju at paper scale on cyclic partitions"
@@ -227,10 +256,7 @@ let prop_condensation_walks_match_kosaraju =
       let meta = Metadata.build p in
       let exec = Exec_order.build (Datadep.build p) in
       let measured_runtime = Array.init n (fun k -> 1e-5 *. float_of_int (1 + (k mod 7))) in
-      let mk incremental =
-        Objective.create ~incremental (Inputs.make ~device ~meta ~exec ~measured_runtime)
-      in
-      let obj_inc = mk true and obj_full = mk false in
+      let obj = Objective.create (Inputs.make ~device ~meta ~exec ~measured_runtime) in
       let rng = Rng.create (seed + 5) in
       let dag = Exec_order.dag exec in
       (* Endpoints of paths [a ->+ b ->+ c]: grouping [a] with [c] but not
@@ -266,25 +292,27 @@ let prop_condensation_walks_match_kosaraju =
         List.filter (( <> ) []) (Array.to_list b)
       in
       let singletons = List.map (fun k -> [ k ]) kernels in
-      let planned = Grouping.random_plan obj_inc rng n in
+      let planned = Grouping.random_plan obj rng n in
       let partitions =
         [ with_jumps singletons 1; with_jumps singletons 4; with_jumps planned 3; buckets ]
       in
       let agree = ref true in
-      let same f = if f obj_inc <> f obj_full then agree := false in
+      let same a b = if a <> b then agree := false in
       List.iter
         (fun gs ->
-          same (fun o -> Grouping.schedulable o gs);
-          same (fun o -> Grouping.repair_schedule o gs);
+          same (Grouping.schedulable obj gs) (Kf_oracle.schedulable obj gs);
+          same (Grouping.repair_schedule obj gs) (Kf_oracle.repair_schedule obj gs);
           let arr = Array.of_list gs in
           for _ = 1 to 4 do
             let a = Rng.choose rng arr and b = Rng.choose rng arr in
-            same (fun o -> Grouping.absorbing_merge o gs a);
-            if a != b then same (fun o -> Grouping.merge_pair o gs a b)
+            same (Grouping.absorbing_merge obj gs a) (Kf_oracle.absorbing_merge obj gs a);
+            same (Grouping.kin_adjacent_groups obj gs a) (Kf_oracle.kin_adjacent_raw obj gs a);
+            if a != b then
+              same (Grouping.merge_pair obj gs a b) (Kf_oracle.merge_pair obj gs a b)
           done)
         partitions;
       (* The jump partitions must really exercise the cyclic case. *)
-      !agree && not (Grouping.schedulable obj_full (List.hd partitions)))
+      !agree && not (Kf_oracle.schedulable obj (List.hd partitions)))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
