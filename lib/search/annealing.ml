@@ -30,17 +30,7 @@ let neighbor obj rng groups =
       let k = Rng.choose rng (Array.of_list victim) in
       match Grouping.eject obj groups k with Some g -> g | None -> groups
     end
-  | `Merge -> begin
-      let g = Rng.choose rng (Array.of_list groups) in
-      match Grouping.kin_adjacent_groups obj groups g with
-      | [] -> groups
-      | candidates -> begin
-          let partner = Rng.choose rng (Array.of_list candidates) in
-          match Grouping.merge_pair obj groups g partner with
-          | Some (merged, rest) -> merged :: rest
-          | None -> groups
-        end
-    end
+  | `Merge -> Grouping.random_merge obj rng groups
 
 let solve ?(params = default_params) obj =
   if params.iterations < 1 then invalid_arg "Annealing.solve: need at least one iteration";

@@ -15,28 +15,32 @@ let solve obj =
   let improved = ref true in
   while !improved do
     improved := false;
-    (* Scan all kin-adjacent pairs for the single best improving merge. *)
+    (* Scan all kin-adjacent pairs for the single best improving merge;
+       only the winner's remainder is built. *)
+    let v = Grouping.view obj !groups in
+    let gs = Grouping.view_groups v in
     let best = ref None in
-    List.iter
-      (fun g ->
-        List.iter
-          (fun partner ->
+    Array.iteri
+      (fun sg g ->
+        Array.iter
+          (fun sp ->
+            let partner = gs.(sp) in
             (* Consider each unordered pair once. *)
             if List.hd g < List.hd partner then begin
-              match Grouping.merge_pair obj !groups g partner with
+              match Grouping.merge_slots obj v sg sp with
               | None -> ()
-              | Some (merged, rest) ->
+              | Some r ->
                   let before = Objective.group_cost obj g +. Objective.group_cost obj partner in
-                  let delta = Objective.group_cost obj merged -. before in
+                  let delta = Objective.group_cost obj r.Grouping.members -. before in
                   (match !best with
-                  | Some (d, _, _) when d <= delta -> ()
-                  | _ -> if delta < -1e-15 then best := Some (delta, merged, rest))
+                  | Some (d, _) when d <= delta -> ()
+                  | _ -> if delta < -1e-15 then best := Some (delta, r))
             end)
-          (Grouping.kin_adjacent_groups obj !groups g))
-      !groups;
+          (Grouping.kin_adjacent_slots obj v g))
+      gs;
     match !best with
-    | Some (_, merged, rest) ->
-        groups := merged :: rest;
+    | Some (_, r) ->
+        groups := Grouping.apply v r;
         incr merges;
         improved := true
     | None -> ()

@@ -1,5 +1,5 @@
 module Rng = Kf_util.Rng
-module Bitset = Kf_util.Bitset
+module Wordset = Kf_util.Wordset
 module Inputs = Kf_model.Inputs
 module Metadata = Kf_ir.Metadata
 module Exec_order = Kf_graph.Exec_order
@@ -17,7 +17,6 @@ let normalize groups =
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
 let exec_of obj = (Objective.inputs obj).Inputs.exec
-let meta_of obj = (Objective.inputs obj).Inputs.meta
 
 (* Strongly connected components of the condensed (per-group) dependency
    graph.  Per-group path convexity (paper Eq. 1.3) does not by itself
@@ -74,42 +73,99 @@ let condensation_sccs exec groups_arr =
   Array.iteri (fun gi c -> sccs.(c) <- gi :: sccs.(c)) comp;
   Array.to_list sccs
 
-(* Kernel -> index of its group in [arr]; kernels in no group stay [-1]
-   and, as in [condensation_sccs], carry no condensation edges. *)
-let group_index n arr =
-  let idx = Array.make n (-1) in
-  Array.iteri (fun gi g -> List.iter (fun k -> idx.(k) <- gi) g) arr;
-  idx
+(* ---- index-based partition view ----------------------------------------- *)
 
-(* [f gj] once per kernel-level edge (along [adj]) leaving group [gi]
-   into another group [gj] — condensation edges with multiplicity, in
-   O(members + their edges). *)
-let iter_group_edges idx adj arr gi f =
-  List.iter
-    (fun u ->
-      let vs = adj.(u) in
-      for e = 0 to Array.length vs - 1 do
-        let gj = idx.(Array.unsafe_get vs e) in
-        if gj >= 0 && gj <> gi then f gj
-      done)
-    arr.(gi)
+type view = {
+  groups : int list array;  (* slot -> members, in the caller's list order *)
+  slot : int array;  (* kernel -> slot; -1 for kernels in no group *)
+  cov : Wordset.t;  (* kernels in some group *)
+}
+
+let rows_of obj = (Objective.memos obj).Struct_memo.rows
+
+let view_of_array obj groups =
+  let n = Array.length (rows_of obj).Struct_memo.reach in
+  let slot = Array.make n (-1) and cov = Wordset.create n in
+  Array.iteri
+    (fun s g ->
+      List.iter
+        (fun k ->
+          slot.(k) <- s;
+          Wordset.add cov k)
+        g)
+    groups;
+  { groups; slot; cov }
+
+let view obj groups = view_of_array obj (Array.of_list groups)
+let view_groups v = v.groups
+let slot v k = v.slot.(k)
+
+(* Add the members of a group to [seen] and OR their [rows] into
+   [next]. *)
+let rec enter_group rows seen next = function
+  | [] -> ()
+  | k :: tl ->
+      Wordset.add seen k;
+      let r = Array.unsafe_get rows k in
+      for w = 0 to Array.length next - 1 do
+        Array.unsafe_set next w (Array.unsafe_get next w lor Array.unsafe_get r w)
+      done;
+      enter_group rows seen next tl
+
+(* Group-level reach from the kernel set [m], whose own direct edges are
+   the row [from], along the per-kernel direct-edge [rows], entering
+   only kernels in [mask]: every group the walk enters is taken whole,
+   and its members' edges are followed in the next round.  Returns the
+   reached kernels ([m] included) and the entered slots (the first
+   [count] entries of the returned array). *)
+let group_walk v rows ~mask ~from m =
+  let seen = Array.copy m and next = Array.copy from in
+  let entered = Array.make (Array.length v.groups) 0 and count = ref 0 in
+  let busy = ref true in
+  while !busy do
+    busy := false;
+    for w = 0 to Array.length next - 1 do
+      let fresh = ref (next.(w) land mask.(w) land lnot seen.(w)) in
+      next.(w) <- 0;
+      while !fresh <> 0 do
+        busy := true;
+        let s = v.slot.((w * Wordset.bits) + Wordset.lowest !fresh) in
+        entered.(!count) <- s;
+        incr count;
+        enter_group rows seen next v.groups.(s);
+        fresh := !fresh land lnot seen.(w)
+      done
+    done
+  done;
+  (seen, entered, !count)
 
 (* Group-level acyclicity: Kahn's algorithm over the per-kernel
-   successor lists.  In-degrees count edges with multiplicity, which
-   drains exactly like the simple condensation graph.  Both consumers of
-   [sccs_of] only inspect component {e sizes}, so when the condensation
-   is acyclic any all-singleton component list is behaviorally
-   interchangeable with Kosaraju's — which lets the memo miss path skip
-   the full SCC pass in the (overwhelmingly common) schedulable case. *)
-let group_dag_acyclic (m : Struct_memo.memos) arr =
+   successor rows.  An edge [gi -> gj] is counted once per pair of a
+   member of [gi] and a successor of it in [gj]; the multiplicity is the
+   same when counting and when draining, so it drains exactly like the
+   simple condensation graph.  Both consumers of [sccs_of] only inspect
+   component {e sizes}, so when the condensation is acyclic any
+   all-singleton component list is behaviorally interchangeable with
+   Kosaraju's — which lets the memo miss path skip the full SCC pass in
+   the (overwhelmingly common) schedulable case. *)
+let group_dag_acyclic obj arr =
   let ng = Array.length arr in
   ng <= 1
   ||
-  let succ = m.Struct_memo.succ_adj in
-  let idx = group_index (Array.length succ) arr in
+  let v = view_of_array obj arr and succ = (rows_of obj).Struct_memo.succ in
+  let iter_out gi f =
+    List.iter
+      (fun u ->
+        Wordset.iter
+          (fun k ->
+            let gj = v.slot.(k) in
+            if gj >= 0 && gj <> gi then f gj)
+          succ.(u))
+      arr.(gi)
+  in
   let indeg = Array.make ng 0 in
   for gi = 0 to ng - 1 do
-    iter_group_edges idx succ arr gi (fun gj -> indeg.(gj) <- indeg.(gj) + 1)
+    iter_out gi (fun gj -> indeg.(gj) <- indeg.(gj) + 1)
   done;
   let ready = Array.make ng 0 and top = ref 0 and removed = ref 0 in
   let push gj =
@@ -120,104 +176,157 @@ let group_dag_acyclic (m : Struct_memo.memos) arr =
   while !top > 0 do
     decr top;
     incr removed;
-    iter_group_edges idx succ arr ready.(!top) (fun gj ->
+    iter_out ready.(!top) (fun gj ->
         indeg.(gj) <- indeg.(gj) - 1;
         if indeg.(gj) = 0 then push gj)
   done;
   !removed = ng
 
 (* Structural operators are pure functions of the (fixed) execution
-   order, metadata and their arguments, and the GA re-asks the same
-   structural questions constantly; each of the wrappers below memoizes
-   its operator under an exact-order signature in the objective's memo
-   bundle (see {!Struct_memo} for why the keys must not be
+   order, metadata and their arguments; the SCCs of a group array are
+   memoized under an exact-order signature in the objective's memo
+   bundle (see {!Struct_memo} for why the key must not be
    canonicalized). *)
 let sccs_of obj groups_arr =
   let m = Objective.memos obj in
   Struct_memo.find_exact m.Struct_memo.sccs (Array.to_list groups_arr) (fun () ->
-      if group_dag_acyclic m groups_arr then
+      if group_dag_acyclic obj groups_arr then
         List.init (Array.length groups_arr) (fun i -> [ i ])
       else condensation_sccs (exec_of obj) groups_arr)
-
-(* Memo hits return a fresh bitset (the table copies on both sides):
-   callers mutate the closure in place, and a shared cached bitset would
-   be corrupted by the first caller. *)
-let closure_of obj dag bs =
-  Struct_memo.find_or_compute_bitset (Objective.memos obj).Struct_memo.closure bs (fun () ->
-      Dag.path_closure dag bs)
 
 let schedulable obj groups =
   List.for_all (fun scc -> List.length scc <= 1) (sccs_of obj (Array.of_list groups))
 
-(* Group indices (never 0 itself) in a condensation cycle with group 0:
-   [{j | 0 ->+ j and j ->+ 0}] at group granularity — exactly the members
-   of the [condensation_sccs] component containing group 0, minus 0.  One
-   forward walk over the successor lists and one backward walk over the
-   predecessor lists, both through the kernel->group index: O(kernels +
-   edges), with no per-group sets and no full Kosaraju pass. *)
-let cycle_with_zero (m : Struct_memo.memos) arr =
-  let ng = Array.length arr in
-  if ng <= 1 then []
-  else begin
-    let idx = group_index (Array.length m.Struct_memo.succ_adj) arr in
-    let reach adj =
-      let seen = Array.make ng false and stack = Array.make ng 0 and top = ref 1 in
-      seen.(0) <- true;
-      while !top > 0 do
-        decr top;
-        iter_group_edges idx adj arr stack.(!top) (fun gj ->
-            if not seen.(gj) then begin
-              seen.(gj) <- true;
-              stack.(!top) <- gj;
-              incr top
-            end)
-      done;
-      seen
-    in
-    let fwd = reach m.Struct_memo.succ_adj and bwd = reach m.Struct_memo.pred_adj in
-    let acc = ref [] in
-    for j = ng - 1 downto 1 do
-      if fwd.(j) && bwd.(j) then acc := j :: !acc
-    done;
-    !acc
-  end
+type merge = { members : int list; absorbed : int list }
 
-(* Not memoized (see {!Struct_memo} for why): with the default unbounded
-   verdict cache a repeat merge's feasibility probe is a cache hit, so
+(* The absorbing merge: the least superset of the seeds closed under the
+   path constraint ([M ∪ (reach M ∩ coreach M)]), under absorbing every
+   group it intersects, and under absorbing every group in a
+   condensation cycle with it.  All three closures are monotone, so the
+   fixpoint does not depend on the order they are applied in.  Not
+   memoized (see {!Struct_memo}): with the default unbounded verdict
+   cache a repeat merge's feasibility probe is a cache hit, so
    evaluation counts do not depend on it. *)
-let absorbing_merge obj groups seed =
-  let exec = exec_of obj in
-  let dag = Exec_order.dag exec in
-  let n = Dag.num_nodes dag in
-  let merged = ref (Bitset.of_list n seed) in
-  let rest = ref groups in
-  let stable = ref false in
-  while not !stable do
-    (* Close under the path constraint, then absorb any group that now
-       intersects the closure; repeat until nothing more is pulled in. *)
-    merged := closure_of obj dag !merged;
-    let intersecting, untouched =
-      List.partition (fun g -> List.exists (Bitset.mem !merged) g) !rest
+let merge_core obj v seed1 seed2 =
+  let rows = rows_of obj in
+  let nw = Array.length v.cov in
+  let m = Array.make nw 0 and pending = Array.make nw 0 in
+  (* Unions of the members' reach, coreach, successor and predecessor
+     rows, kept up to date as members arrive. *)
+  let reach = Array.make nw 0 and coreach = Array.make nw 0 in
+  let out = Array.make nw 0 and inn = Array.make nw 0 in
+  let absorbed = Wordset.create (Array.length v.groups) in
+  let add k =
+    if not (Wordset.mem m k) then begin
+      Wordset.add m k;
+      Wordset.add pending k
+    end
+  in
+  let rec add_all = function
+    | [] -> ()
+    | k :: tl ->
+        add k;
+        add_all tl
+  in
+  let absorb s =
+    Wordset.add absorbed s;
+    add_all v.groups.(s)
+  in
+  (* Union the rows of every pending member and absorb its group. *)
+  let rec settle () =
+    let busy = ref false in
+    for w = 0 to nw - 1 do
+      let x = ref pending.(w) in
+      if !x <> 0 then begin
+        busy := true;
+        pending.(w) <- 0;
+        while !x <> 0 do
+          let k = (w * Wordset.bits) + Wordset.lowest !x in
+          x := !x land (!x - 1);
+          let s = v.slot.(k) in
+          if s >= 0 && not (Wordset.mem absorbed s) then absorb s;
+          let r = rows.Struct_memo.reach.(k) and c = rows.Struct_memo.coreach.(k) in
+          let su = rows.Struct_memo.succ.(k) and pr = rows.Struct_memo.pred.(k) in
+          for w = 0 to nw - 1 do
+            reach.(w) <- reach.(w) lor Array.unsafe_get r w;
+            coreach.(w) <- coreach.(w) lor Array.unsafe_get c w;
+            out.(w) <- out.(w) lor Array.unsafe_get su w;
+            inn.(w) <- inn.(w) lor Array.unsafe_get pr w
+          done
+        done
+      end
+    done;
+    if !busy then settle ()
+  in
+  (* Path closure: kernels both reachable from and reaching members. *)
+  let close () =
+    let grew = ref false in
+    for w = 0 to nw - 1 do
+      let fresh = reach.(w) land coreach.(w) land lnot m.(w) in
+      if fresh <> 0 then begin
+        grew := true;
+        m.(w) <- m.(w) lor fresh;
+        pending.(w) <- pending.(w) lor fresh
+      end
+    done;
+    !grew
+  in
+  (* Slots in a condensation cycle with the merged set: [{j | m ->+ j and
+     j ->+ m}] at group granularity.  The walk runs first in the
+     direction with fewer kernels in reach.  Forward first: the last
+     group on a path back into [m] holds an ancestor of a member, so
+     with no ancestor reached there is no cycle; and every group on a
+     path [j ->+ m] from a cycle group [j] is itself reachable from [m],
+     so the backward walk enters only what the forward walk reached —
+     and the groups it enters are the cycle.  Backward first is the
+     mirror image. *)
+  let cycle () =
+    let outside a = Wordset.cardinal_diff a m in
+    let (rows1, from1, ends), (rows2, from2) =
+      if outside reach <= outside coreach then
+        ((rows.Struct_memo.succ, out, coreach), (rows.Struct_memo.pred, inn))
+      else ((rows.Struct_memo.pred, inn, reach), (rows.Struct_memo.succ, out))
     in
-    if intersecting <> [] then begin
-      List.iter (fun g -> List.iter (Bitset.add !merged) g) intersecting;
-      rest := untouched
-    end
-    else begin
-      (* Closure stable: absorb any condensation cycle through the merged
-         group (the merge may have created mutual dependencies with
-         otherwise-untouched groups). *)
-      let arr = Array.of_list (Bitset.to_list !merged :: !rest) in
-      let absorb_idx = cycle_with_zero (Objective.memos obj) arr in
-      match absorb_idx with
-      | [] -> stable := true
-      | _ ->
-          List.iter (fun gi -> List.iter (Bitset.add !merged) arr.(gi)) absorb_idx;
-          rest := List.filteri (fun i _ -> not (List.mem (i + 1) absorb_idx)) !rest
-    end
-  done;
-  let group = Bitset.to_list !merged in
-  if Objective.group_feasible obj group then Some (group, !rest) else None
+    let first, _, count = group_walk v rows1 ~mask:v.cov ~from:from1 m in
+    let rec closes w = w < nw && (first.(w) land ends.(w) land lnot m.(w) <> 0 || closes (w + 1)) in
+    count > 0
+    && closes 0
+    &&
+    let _, slots, count = group_walk v rows2 ~mask:first ~from:from2 m in
+    for i = 0 to count - 1 do
+      absorb slots.(i)
+    done;
+    count > 0
+  in
+  List.iter add seed1;
+  List.iter add seed2;
+  let rec fix () =
+    settle ();
+    if close () || cycle () then fix ()
+  in
+  fix ();
+  let members = Wordset.to_list m in
+  if Objective.group_feasible obj members then
+    Some { members; absorbed = Wordset.to_list absorbed }
+  else None
+
+let merge_slots obj v a b = merge_core obj v v.groups.(a) v.groups.(b)
+
+let remainder v r =
+  let rec build s skip acc =
+    if s < 0 then acc
+    else
+      match skip with
+      | a :: tl when a = s -> build (s - 1) tl acc
+      | _ -> build (s - 1) skip (v.groups.(s) :: acc)
+  in
+  build (Array.length v.groups - 1) (List.rev r.absorbed) []
+
+let apply v r = r.members :: remainder v r
+
+let absorbing_merge obj groups seed =
+  let v = view obj groups in
+  Option.map (fun r -> (r.members, remainder v r)) (merge_core obj v seed [])
 
 let repair_schedule obj groups =
   (* Merge every multi-group condensation cycle; if the merged group is
@@ -244,54 +353,115 @@ let merge_pair obj groups a b =
   let others = List.filter (fun g -> g <> a && g <> b) groups in
   absorbing_merge obj others (a @ b)
 
-let kin_neighbor_list obj group =
-  let meta = meta_of obj in
-  List.concat_map (fun k -> Metadata.kin_neighbors meta k) group
-  |> List.sort_uniq compare
-  |> List.filter (fun k -> not (List.mem k group))
+(* Slots (increasing, i.e. in the caller's list order) of the groups
+   holding a kinship neighbour of [group]'s members, other than those
+   members.  The neighbour set is the union of the members' kinship
+   rows. *)
+let kin_adjacent_slots obj v group =
+  let kin = (rows_of obj).Struct_memo.kin in
+  let nb = Array.make (Array.length v.cov) 0 in
+  List.iter
+    (fun k ->
+      let row = kin.(k) in
+      for w = 0 to Array.length nb - 1 do
+        nb.(w) <- nb.(w) lor Array.unsafe_get row w
+      done)
+    group;
+  List.iter (fun k -> nb.(k / Wordset.bits) <- nb.(k / Wordset.bits) land lnot (1 lsl (k mod Wordset.bits))) group;
+  let acc = ref [] in
+  Wordset.iter
+    (fun k ->
+      let s = v.slot.(k) in
+      if s >= 0 then acc := s :: !acc)
+    nb;
+  Array.of_list (List.sort_uniq Int.compare !acc)
 
-(* The adjacency predicate depends only on the probe group's (fixed,
-   metadata-derived) kinship neighbor set, never on the rest of the
-   partition — so the memo caches that set per group, and the
-   order-preserving filter over [groups] runs on every call. *)
 let kin_adjacent_groups obj groups group =
-  let nb =
-    Struct_memo.find_group (Objective.memos obj).Struct_memo.kin group (fun () ->
-        let n = Dag.num_nodes (Exec_order.dag (exec_of obj)) in
-        Bitset.of_list n (kin_neighbor_list obj group))
-  in
-  List.filter (fun g -> g <> group && List.exists (Bitset.mem nb) g) groups
+  let v = view obj groups in
+  Array.fold_right (fun s acc -> v.groups.(s) :: acc) (kin_adjacent_slots obj v group) []
+
+(* [List.filter_map] over slots, applied in increasing slot order. *)
+let filter_map_slots f slots =
+  let acc = ref [] in
+  Array.iter (fun s -> match f s with Some x -> acc := x :: !acc | None -> ()) slots;
+  List.rev !acc
+
+(* A uniform group and a uniform kin-adjacent partner, merged: the
+   shared "merge" move of the mutation and annealing neighbourhoods. *)
+let random_merge obj rng groups =
+  let v = view obj groups in
+  let g = Rng.int rng (Array.length v.groups) in
+  match kin_adjacent_slots obj v v.groups.(g) with
+  | [||] -> groups
+  | candidates -> (
+      match merge_slots obj v g (Rng.choose rng candidates) with
+      | Some r -> apply v r
+      | None -> groups)
 
 let random_plan obj rng ?merge_attempts n =
   let attempts = match merge_attempts with Some a -> a | None -> 2 * n in
-  let groups = ref (List.init n (fun k -> [ k ])) in
-  (* Kept in sync with [groups]; most attempts mutate nothing, so the
-     array is only rebuilt after an accepted merge. *)
-  let arr = ref (Array.of_list !groups) in
+  (* Most attempts change nothing, so the view is only rebuilt after an
+     accepted merge. *)
+  let v = ref (view obj (List.init n (fun k -> [ k ]))) in
   for _ = 1 to attempts do
-    if Array.length !arr >= 2 then begin
-      let g = Rng.choose rng !arr in
-      match kin_adjacent_groups obj !groups g with
-      | [] -> ()
-      | candidates -> begin
-          let partner = Rng.choose rng (Array.of_list candidates) in
-          match merge_pair obj !groups g partner with
-          | Some (merged, rest) ->
+    let v0 = !v in
+    let ng = Array.length v0.groups in
+    if ng >= 2 then begin
+      let g = Rng.int rng ng in
+      match kin_adjacent_slots obj v0 v0.groups.(g) with
+      | [||] -> ()
+      | candidates -> (
+          match merge_slots obj v0 g (Rng.choose rng candidates) with
+          | Some r ->
               (* Keep the merge only when the model likes it at least half
                  the time; always-greedy initial populations collapse into
                  one basin. *)
-              let keep =
-                Objective.group_profitable obj merged || Rng.chance rng 0.25
-              in
-              if keep then begin
-                groups := merged :: rest;
-                arr := Array.of_list !groups
-              end
-          | None -> ()
-        end
+              let keep = Objective.group_profitable obj r.members || Rng.chance rng 0.25 in
+              if keep then v := view obj (apply v0 r)
+          | None -> ())
     end
   done;
-  normalize !groups
+  normalize (Array.to_list !v.groups)
+
+(* Crossover repair: pull each orphan singleton back into a
+   kin-adjacent group when that lowers the projected total.  Usually the
+   best improving merge is taken, but sometimes a random improving one —
+   a deterministic repair drives every child into the same pairing
+   basin. *)
+let reinsert_orphans obj rng groups orphans =
+  let v = ref (view obj groups) in
+  List.iter
+    (fun k ->
+      let v0 = !v in
+      let own = v0.slot.(k) in
+      if own >= 0 && v0.groups.(own) = [ k ] then begin
+        let improving =
+          filter_map_slots
+            (fun s ->
+              match merge_slots obj v0 own s with
+              | None -> None
+              | Some r ->
+                  let before =
+                    Objective.group_cost obj v0.groups.(own) +. Objective.group_cost obj v0.groups.(s)
+                  in
+                  let delta = Objective.group_cost obj r.members -. before in
+                  if delta < 0. then Some (delta, r) else None)
+            (kin_adjacent_slots obj v0 v0.groups.(own))
+        in
+        match improving with
+        | [] -> ()
+        | options ->
+            let _, r =
+              if Rng.chance rng 0.7 then
+                List.fold_left
+                  (fun acc o -> if fst acc <= fst o then acc else o)
+                  (List.hd options) (List.tl options)
+              else Rng.choose rng (Array.of_list options)
+            in
+            v := view obj (apply v0 r)
+      end)
+    orphans;
+  Array.to_list !v.groups
 
 let dissolve groups g =
   let found = ref false in
@@ -339,14 +509,13 @@ let relocation_pass obj current =
       match as_singleton with
       | None -> ()
       | Some ejected ->
+          let v = view obj ejected in
+          let own = v.slot.(k) in
           let candidates =
             ejected
-            :: List.filter_map
-                 (fun g ->
-                   match merge_pair obj ejected [ k ] g with
-                   | Some (merged, rest) -> Some (merged :: rest)
-                   | None -> None)
-                 (kin_adjacent_groups obj ejected [ k ])
+            :: filter_map_slots
+                 (fun s -> Option.map (apply v) (merge_slots obj v own s))
+                 (kin_adjacent_slots obj v v.groups.(own))
           in
           let best =
             List.fold_left

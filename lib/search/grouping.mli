@@ -6,13 +6,55 @@
     (paper Eq. 1.3) can pull in kernels that belong to third groups, which
     must then be absorbed whole — iterated to a fixpoint.  This is what
     makes the genetic operators "aware of groups" in the paper's sense:
-    they move legal groups around instead of individual kernels. *)
+    they move legal groups around instead of individual kernels.
+
+    The operators run on an index-based {!view} of a partition and on
+    per-kernel word-bitset rows precomputed once per objective (see
+    {!Struct_memo}); the list functions below are thin wrappers over the
+    same core. *)
 
 type groups = int list list
 
+(** {1 Index-based partitions} *)
+
+type view
+(** A partition as its group array in the caller's list order (group
+    [i] sits in {e slot} [i]) plus a kernel→slot index.  Built in
+    O(kernels) and reused across the candidate loops of an operator;
+    immutable, and not tied to a domain. *)
+
+val view : Objective.t -> groups -> view
+
+val view_groups : view -> int list array
+(** The groups by slot.  Do not mutate. *)
+
+val slot : view -> int -> int
+(** [slot v k] is the slot of the group holding kernel [k], or [-1]. *)
+
+type merge = {
+  members : int list;  (** the merged group, increasing *)
+  absorbed : int list;  (** slots it swallowed, increasing (the two seeds included) *)
+}
+
+val merge_slots : Objective.t -> view -> int -> int -> merge option
+(** [merge_slots obj v a b] is {!merge_pair} of the groups in slots [a]
+    and [b], without building the remainder. *)
+
+val remainder : view -> merge -> groups
+(** The groups the merge left untouched, in slot order. *)
+
+val apply : view -> merge -> groups
+(** [members :: remainder] — the partition after keeping the merge. *)
+
+val kin_adjacent_slots : Objective.t -> view -> int list -> int array
+(** {!kin_adjacent_groups} as increasing slots. *)
+
+(** {1 List operators} *)
+
 val absorbing_merge : Objective.t -> groups -> int list -> (int list * groups) option
 (** [absorbing_merge obj groups seed] merges all groups intersecting the
-    convex closure of [seed] into one, re-closing until stable.  Returns
+    convex closure of [seed] into one, and every group in a condensation
+    cycle with it, re-closing until stable.  Returns
     the merged group and the untouched remainder, or [None] when the
     merged group is infeasible (resources or kinship). *)
 
@@ -25,6 +67,17 @@ val random_plan : Objective.t -> Kf_util.Rng.t -> ?merge_attempts:int -> int -> 
     partition over [n] kernels and performs random absorbing merges of
     kin-adjacent groups, keeping only feasible results.
     [merge_attempts] defaults to [2 * n]. *)
+
+val random_merge : Objective.t -> Kf_util.Rng.t -> groups -> groups
+(** The merge move of the mutation and annealing neighbourhoods: a
+    uniform group, a uniform kin-adjacent partner, their absorbing merge
+    ([groups] unchanged when there is no partner or the merge is
+    infeasible). *)
+
+val reinsert_orphans : Objective.t -> Kf_util.Rng.t -> groups -> int list -> groups
+(** Crossover repair: for each orphan [k] still a singleton, in order,
+    collect the kin-adjacent merges that lower the projected cost of the
+    two groups; take the best with probability 0.7, else a uniform one. *)
 
 val dissolve : groups -> int list -> groups
 (** Replace one group (matched by equality) by its singletons. *)

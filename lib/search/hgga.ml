@@ -167,45 +167,10 @@ let crossover obj rng (a : individual) (b : individual) =
         List.concat_map (List.filter (fun k -> not (List.mem k injected_members))) disrupted
       in
       let base = injected @ untouched @ List.map (fun k -> [ k ]) orphans in
-      (* Repair: pull each orphan back into a neighboring group when that
-         lowers the projected total.  Usually the best improving merge is
-         taken, but sometimes a random improving one — a deterministic
-         repair drives every child into the same pairing basin. *)
-      let groups = ref base in
-      List.iter
-        (fun k ->
-          let own = [ k ] in
-          if List.mem own !groups then begin
-            let candidates = Grouping.kin_adjacent_groups obj !groups own in
-            let improving =
-              List.filter_map
-                (fun g ->
-                  match Grouping.merge_pair obj !groups own g with
-                  | None -> None
-                  | Some (merged, rest) ->
-                      let before =
-                        Objective.group_cost obj own +. Objective.group_cost obj g
-                      in
-                      let delta = Objective.group_cost obj merged -. before in
-                      if delta < 0. then Some (delta, merged, rest) else None)
-                candidates
-            in
-            match improving with
-            | [] -> ()
-            | options ->
-                let _, merged, rest =
-                  if Rng.chance rng 0.7 then
-                    List.fold_left
-                      (fun acc o -> match (acc, o) with (d1, _, _), (d2, _, _) when d1 <= d2 -> acc | _ -> o)
-                      (List.hd options) (List.tl options)
-                  else Rng.choose rng (Array.of_list options)
-                in
-                groups := merged :: rest
-          end)
-        orphans;
+      let groups = Grouping.reinsert_orphans obj rng base orphans in
       (* The injected groups can form condensation cycles with the
          receiver's surviving groups; restore schedulability. *)
-      Grouping.normalize (Grouping.repair_schedule obj !groups)
+      Grouping.normalize (Grouping.repair_schedule obj groups)
 
 let mutate obj rng groups =
   let multi = List.filter (fun g -> List.length g >= 2) groups in
@@ -219,17 +184,7 @@ let mutate obj rng groups =
       let k = Rng.choose rng (Array.of_list victim) in
       match Grouping.eject obj groups k with Some g -> g | None -> groups
     end
-  | `Merge -> begin
-      let g = Rng.choose rng (Array.of_list groups) in
-      match Grouping.kin_adjacent_groups obj groups g with
-      | [] -> groups
-      | candidates -> begin
-          let partner = Rng.choose rng (Array.of_list candidates) in
-          match Grouping.merge_pair obj groups g partner with
-          | Some (merged, rest) -> merged :: rest
-          | None -> groups
-        end
-    end
+  | `Merge -> Grouping.random_merge obj rng groups
 
 (* ---- horizontal-mode operators ------------------------------------------ *)
 

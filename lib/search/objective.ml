@@ -212,8 +212,6 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
       invalid_arg "Objective.create: plan_cache_capacity must be positive"
   | _ -> ());
   let arena = Feature_arena.create inputs ~extra:portfolio in
-  let dag = Exec_order.dag inputs.Inputs.exec in
-  let adj edges = Array.init (Kf_graph.Dag.num_nodes dag) (fun u -> Array.of_list (edges dag u)) in
   {
     inputs;
     model;
@@ -225,9 +223,7 @@ let create ?(model = Proposed) ?(guard = fun eval group -> eval group)
     plans = bounded_create plan_cache_capacity;
     locals = [];
     reg_lock = Mutex.create ();
-    memos =
-      Struct_memo.create_memos ~succ_adj:(adj Kf_graph.Dag.succs)
-        ~pred_adj:(adj Kf_graph.Dag.preds) ();
+    memos = Struct_memo.create_memos (Exec_order.dag inputs.Inputs.exec) inputs.Inputs.meta;
     stats_lock = Mutex.create ();
     evaluations = 0;
     eval_time_s = 0.;

@@ -1,5 +1,7 @@
 module Plan = Kf_fusion.Plan
 module Bitset = Kf_util.Bitset
+module Wordset = Kf_util.Wordset
+module Dag = Kf_graph.Dag
 module Sigbuf = Plan.Sigbuf
 
 (* Open-addressing table specialized for int-array signature keys.  The
@@ -214,11 +216,6 @@ let probe t (l : _ local) compute =
           Sig_tbl.add l.l_tbl key ~hash v;
           v)
 
-let find_group t group compute =
-  let l = local_of t in
-  Sigbuf.encode_group l.l_sb group;
-  probe t l compute
-
 let find_exact t groups compute =
   let l = local_of t in
   Sigbuf.encode_groups_exact l.l_sb groups;
@@ -252,142 +249,34 @@ let table_stats t =
     (fun (h, m) (_, (l : _ local)) -> (h + l.l_hits, m + l.l_misses))
     (0, 0) t.locals
 
-(* Bitset-keyed memo, same base + per-domain-local discipline.
-   [Bitset.hash] is a pure function of the set's contents (no
-   per-process seed), so nothing here depends on [OCAMLRUNPARAM=R]. *)
-module Bs_table = struct
-  module H = Hashtbl.Make (struct
-    type t = Bitset.t
-
-    let equal = Bitset.equal
-    let hash = Bitset.hash
-  end)
-
-  type local = {
-    b_tbl : Bitset.t H.t;
-    mutable b_hits : int;
-    mutable b_misses : int;
-    mutable b_pub_hits : int;
-    mutable b_pub_misses : int;
-  }
-
-  type t = {
-    base : Bitset.t H.t;
-    mutable locals : (int * local) list;
-    reg_lock : Mutex.t;
-    m_hits : Kf_obs.Metrics.counter;
-    m_misses : Kf_obs.Metrics.counter;
-  }
-end
-
-type bitset_table = Bs_table.t
-
-let bitset_table name =
-  {
-    Bs_table.base = Bs_table.H.create 256;
-    locals = [];
-    reg_lock = Mutex.create ();
-    m_hits = Kf_obs.Metrics.counter (Printf.sprintf "struct_memo.%s.hits" name);
-    m_misses = Kf_obs.Metrics.counter (Printf.sprintf "struct_memo.%s.misses" name);
-  }
-
-let bs_local_of (t : bitset_table) =
-  let did = (Domain.self () :> int) in
-  let rec find = function
-    | [] -> None
-    | (d, (l : Bs_table.local)) :: tl -> if d = did then Some l else find tl
-  in
-  match find t.Bs_table.locals with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          Bs_table.b_tbl = Bs_table.H.create 64;
-          b_hits = 0;
-          b_misses = 0;
-          b_pub_hits = 0;
-          b_pub_misses = 0;
-        }
-      in
-      Mutex.lock t.Bs_table.reg_lock;
-      t.Bs_table.locals <- (did, l) :: t.Bs_table.locals;
-      Mutex.unlock t.Bs_table.reg_lock;
-      l
-
-let find_or_compute_bitset (t : bitset_table) key compute =
-  (* Both the key and the cached value are interned as copies: the caller
-     owns (and typically mutates) the bitsets on its side of the call. *)
-  let l = bs_local_of t in
-  match Bs_table.H.find_opt t.Bs_table.base key with
-  | Some v ->
-      l.Bs_table.b_hits <- l.Bs_table.b_hits + 1;
-      Bitset.copy v
-  | None -> (
-      match Bs_table.H.find_opt l.Bs_table.b_tbl key with
-      | Some v ->
-          l.Bs_table.b_hits <- l.Bs_table.b_hits + 1;
-          Bitset.copy v
-      | None ->
-          l.Bs_table.b_misses <- l.Bs_table.b_misses + 1;
-          let owned = Bitset.copy key in
-          let v = compute () in
-          Bs_table.H.replace l.Bs_table.b_tbl owned (Bitset.copy v);
-          v)
-
-let merge_bitset_table (t : bitset_table) =
-  List.iter
-    (fun (_, (l : Bs_table.local)) ->
-      Bs_table.H.iter
-        (fun k v ->
-          if not (Bs_table.H.mem t.Bs_table.base k) then
-            Bs_table.H.replace t.Bs_table.base k v)
-        l.Bs_table.b_tbl;
-      Bs_table.H.reset l.Bs_table.b_tbl;
-      Kf_obs.Metrics.incr
-        ~by:(l.Bs_table.b_hits - l.Bs_table.b_pub_hits)
-        t.Bs_table.m_hits;
-      Kf_obs.Metrics.incr
-        ~by:(l.Bs_table.b_misses - l.Bs_table.b_pub_misses)
-        t.Bs_table.m_misses;
-      l.Bs_table.b_pub_hits <- l.Bs_table.b_hits;
-      l.Bs_table.b_pub_misses <- l.Bs_table.b_misses)
-    t.Bs_table.locals
-
-let bitset_table_stats (t : bitset_table) =
-  List.fold_left
-    (fun (h, m) (_, (l : Bs_table.local)) ->
-      (h + l.Bs_table.b_hits, m + l.Bs_table.b_misses))
-    (0, 0) t.Bs_table.locals
-
-type memos = {
-  kin : Bitset.t table;
-  closure : bitset_table;
-  sccs : int list list table;
-  refine : int list list table;
-  succ_adj : int array array;
-  pred_adj : int array array;
+type rows = {
+  reach : Wordset.t array;
+  coreach : Wordset.t array;
+  succ : Wordset.t array;
+  pred : Wordset.t array;
+  kin : Wordset.t array;
 }
 
-let create_memos ~succ_adj ~pred_adj () =
+type memos = { sccs : int list list table; refine : int list list table; rows : rows }
+
+let create_memos dag meta =
+  let n = Dag.num_nodes dag in
+  let row f = Array.init n (fun k -> Wordset.of_list n (f k)) in
   {
-    kin = table "kin";
-    closure = bitset_table "closure";
     sccs = table "sccs";
     refine = table "refine";
-    succ_adj;
-    pred_adj;
+    rows =
+      {
+        reach = row (fun k -> Bitset.to_list (Dag.descendants dag k));
+        coreach = row (fun k -> Bitset.to_list (Dag.ancestors dag k));
+        succ = row (Dag.succs dag);
+        pred = row (Dag.preds dag);
+        kin = row (Kf_ir.Metadata.kin_neighbors meta);
+      };
   }
 
 let merge_memos m =
-  merge_table m.kin;
-  merge_bitset_table m.closure;
   merge_table m.sccs;
   merge_table m.refine
 
-let memo_stats m =
-  [
-    ("kin", table_stats m.kin);
-    ("closure", bitset_table_stats m.closure);
-    ("sccs", table_stats m.sccs);
-    ("refine", table_stats m.refine);
-  ]
+let memo_stats m = [ ("sccs", table_stats m.sccs); ("refine", table_stats m.refine) ]

@@ -1,28 +1,25 @@
-(** Memoization of the search's pure structural operators, and the
-    per-kernel adjacency the uncached condensation walks run on.
+(** Memoization of the search's order-sensitive structural operators,
+    and the per-kernel rows the grouping operators run on.
 
-    The grouping operators (kinship adjacency, path closures,
-    condensation SCCs, local refinement) are pure functions of the
-    execution order, the metadata and their arguments — and profiling
-    shows the GA re-asks the same structural questions constantly (a
-    quarter to a half of all calls are exact repeats).  Each table below
-    memoizes one operator.  Keys are canonical (order-normalized) only
-    where the memoized {e value} is provably independent of argument
-    order — a group's kinship neighbor set; the order-sensitive parts
-    (the filtered candidate list kinship adjacency returns) are
-    recomputed from the live argument on every hit, because downstream
-    RNG draws ([Rng.choose] over candidate lists) depend on input order.
-    Operators whose whole result is order-sensitive ([local_refine], SCCs
-    of a group array) keep exact-order keys.
-
-    The absorbing merge is deliberately {e not} memoized.  Its only
-    sound key is the whole partition plus the seed, and on a 142-kernel
+    The absorbing merge and kinship adjacency work on an index-based
+    view of a partition (the group array plus a kernel→slot index, see
+    {!Grouping.view}) and on per-kernel word-bitset rows built once per
+    objective: transitive reach and coreach (the path closure is the
+    fixpoint of [M ∪ (reach M ∩ coreach M)]), direct successors and
+    predecessors (the group-level condensation walks), and kinship
+    neighbours.  One merge costs O(kernels it touches × words), so
+    nothing about it is memoized: a memo key (the whole partition plus
+    the seed) costs more to encode than the merge, and on a 142-kernel
     SCALE-LES search such keys hit 0.55% of the time while the table
-    nearly tripled the live heap (about 25 to 72 MB).  The raw merge is
-    cheap: its condensation-cycle check, like the group-level acyclicity
-    test, walks the [succ_adj] / [pred_adj] lists through a kernel→group
-    index in O(kernels + edges), which costs less than encoding the
-    memo key.
+    nearly tripled the live heap.  For the same reason path closures
+    and kinship neighbour sets are recomputed from the rows rather than
+    looked up.
+
+    Two operators stay memoized, under exact-order keys because their
+    results depend on argument order: the condensation SCCs of a group
+    array and {!Grouping.local_refine} (the per-generation champion
+    rarely changes between improvements, so repeat refinements are
+    hits).
 
     Sharing discipline (data-oriented, replacing the former striped
     mutexes): each memo is a read-only {e base} table shared by every
@@ -76,13 +73,6 @@ val table : string -> 'a table
     process-wide metrics counters ([struct_memo.<name>.hits] /
     [.misses], flushed at merge points rather than per probe). *)
 
-val find_group : 'a table -> int list -> (unit -> 'a) -> 'a
-(** Probe keyed by one group's canonical signature
-    ({!Kf_fusion.Plan.group_signature}).  On a miss the computation runs
-    unlocked and the result is cached in the calling domain's private
-    table; concurrent duplicate misses may compute the value more than
-    once, which is harmless for pure computations. *)
-
 val find_exact : 'a table -> int list list -> (unit -> 'a) -> 'a
 (** Probe keyed by the groups in the given order ([-1]-separated) — for
     order-sensitive operators. *)
@@ -99,49 +89,31 @@ val merge_table : 'a table -> unit
 val table_stats : 'a table -> int * int
 (** [(hits, misses)] accumulated over all domains, live. *)
 
-type bitset_table
-(** A memo table from bitsets to bitsets with the same sharing
-    discipline ({!Kf_util.Bitset.hash} is a pure content hash, so
-    nothing depends on [OCAMLRUNPARAM=R]).  Avoids the list/array
-    round-trips an int-array key would cost on the hottest memo (path
-    closures). *)
-
-val bitset_table : string -> bitset_table
-(** Like {!table}. *)
-
-val find_or_compute_bitset : bitset_table -> Kf_util.Bitset.t -> (unit -> Kf_util.Bitset.t) -> Kf_util.Bitset.t
-(** Like {!find_group} for bitsets, but both key and value are interned
-    as defensive copies and every hit returns a fresh copy — callers own
-    (and may mutate) the bitsets on their side of the call. *)
-
-val merge_bitset_table : bitset_table -> unit
-val bitset_table_stats : bitset_table -> int * int
+type rows = {
+  reach : Kf_util.Wordset.t array;  (** descendants of each kernel, itself included *)
+  coreach : Kf_util.Wordset.t array;  (** ancestors of each kernel, itself included *)
+  succ : Kf_util.Wordset.t array;  (** direct successors in the execution DAG *)
+  pred : Kf_util.Wordset.t array;  (** direct predecessors *)
+  kin : Kf_util.Wordset.t array;  (** kinship neighbours ({!Kf_ir.Metadata.kin_neighbors}) *)
+}
+(** Per-kernel word-bitset rows over the kernel universe, read-only
+    after construction and shared by every domain. *)
 
 type memos = {
-  kin : Kf_util.Bitset.t table;
-      (** a group's kinship neighbor set, keyed by the sorted group; the
-          cached bitset is read-only *)
-  closure : bitset_table;
-      (** [Dag.path_closure] keyed by the seed set itself *)
   sccs : int list list table;
       (** [Grouping.condensation_sccs] keyed by the group array *)
   refine : int list list table;
       (** [Grouping.local_refine] keyed by the exact-order input plus the
-          pass bound — the per-generation champion rarely changes, so
-          repeat refinements are hits *)
-  succ_adj : int array array;
-      (** per-kernel direct successors of the (fixed) execution DAG,
-          built once — the forward condensation walks enumerate these *)
-  pred_adj : int array array;
-      (** per-kernel direct predecessors, for the backward walk *)
+          pass bound *)
+  rows : rows;
 }
-(** The bundle of operator memos every objective owns. *)
+(** The bundle every objective owns. *)
 
-val create_memos : succ_adj:int array array -> pred_adj:int array array -> unit -> memos
+val create_memos : Kf_graph.Dag.t -> Kf_ir.Metadata.t -> memos
+(** Empty memos and the rows of the given execution DAG and metadata. *)
 
 val merge_memos : memos -> unit
-(** {!merge_table} / {!merge_bitset_table} over every memo.  Call at
-    generation barriers. *)
+(** {!merge_table} over every memo.  Call at generation barriers. *)
 
 val memo_stats : memos -> (string * (int * int)) list
 (** [(name, (hits, misses))] per table, in a fixed order. *)

@@ -118,9 +118,16 @@ let intersects_outside a b ~outside =
   in
   go 0
 
+(* Zero bytes are skipped (and with them by [fold], [to_list] and
+   [choose]); bits past [n] are never set, so the last byte needs no
+   bound. *)
 let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
+  for w = 0 to Bytes.length t.words - 1 do
+    let b = Char.code (Bytes.unsafe_get t.words w) in
+    if b <> 0 then
+      for j = 0 to 7 do
+        if b land (1 lsl j) <> 0 then f ((w * 8) + j)
+      done
   done
 
 let fold f t init =

@@ -9,6 +9,7 @@ module Device = Kf_gpu.Device
 module Exec_order = Kf_graph.Exec_order
 module Dag = Kf_graph.Dag
 module Bitset = Kf_util.Bitset
+module Rng = Kf_util.Rng
 
 (* ---- evaluation leaf ---------------------------------------------------- *)
 
@@ -160,3 +161,61 @@ let kin_adjacent_raw obj groups group =
     |> List.filter (fun k -> not (List.mem k group))
   in
   List.filter (fun g -> g <> group && List.exists (fun k -> List.mem k neighbors) g) groups
+
+(* ---- list-based search operators ---------------------------------------- *)
+
+let random_plan obj rng ?merge_attempts n =
+  let attempts = match merge_attempts with Some a -> a | None -> 2 * n in
+  let groups = ref (List.init n (fun k -> [ k ])) in
+  let arr = ref (Array.of_list !groups) in
+  for _ = 1 to attempts do
+    if Array.length !arr >= 2 then begin
+      let g = Rng.choose rng !arr in
+      match kin_adjacent_raw obj !groups g with
+      | [] -> ()
+      | candidates -> (
+          let partner = Rng.choose rng (Array.of_list candidates) in
+          match merge_pair obj !groups g partner with
+          | Some (merged, rest) ->
+              let keep = Objective.group_profitable obj merged || Rng.chance rng 0.25 in
+              if keep then begin
+                groups := merged :: rest;
+                arr := Array.of_list !groups
+              end
+          | None -> ())
+    end
+  done;
+  Grouping.normalize !groups
+
+let reinsert_orphans obj rng groups orphans =
+  let groups = ref groups in
+  List.iter
+    (fun k ->
+      let own = [ k ] in
+      if List.mem own !groups then begin
+        let improving =
+          List.filter_map
+            (fun g ->
+              match merge_pair obj !groups own g with
+              | None -> None
+              | Some (merged, rest) ->
+                  let before = Objective.group_cost obj own +. Objective.group_cost obj g in
+                  let delta = Objective.group_cost obj merged -. before in
+                  if delta < 0. then Some (delta, merged, rest) else None)
+            (kin_adjacent_raw obj !groups own)
+        in
+        match improving with
+        | [] -> ()
+        | options ->
+            let _, merged, rest =
+              if Rng.chance rng 0.7 then
+                List.fold_left
+                  (fun acc o ->
+                    match (acc, o) with (d1, _, _), (d2, _, _) when d1 <= d2 -> acc | _ -> o)
+                  (List.hd options) (List.tl options)
+              else Rng.choose rng (Array.of_list options)
+            in
+            groups := merged :: rest
+      end)
+    orphans;
+  !groups

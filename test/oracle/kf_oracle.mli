@@ -2,10 +2,10 @@
     operators.
 
     The library has one evaluation path (signature-keyed caches over the
-    allocation-free {!Kf_model.Feature_arena} leaf) and linear
-    condensation walks in its grouping operators.  This module keeps the
-    straightforward formulations they replaced, so tests and benches can
-    check the fast path against them bit for bit:
+    allocation-free {!Kf_model.Feature_arena} leaf) and index-based
+    grouping operators over per-kernel word-bitset rows.  This module
+    keeps the straightforward formulations they replaced, so tests and
+    benches can check the fast path against them bit for bit:
 
     - {!evaluate_legacy} builds a {!Kf_fusion.Fused.t} per candidate.
       Installed through {!guard}, it turns any objective into the
@@ -16,7 +16,12 @@
       {!repair_schedule} answer condensation questions with Kosaraju
       ({!Kf_search.Grouping.condensation_sccs}) and plain
       {!Kf_graph.Dag.path_closure}; {!kin_adjacent_raw} filters by a
-      recomputed kinship neighbour list. *)
+      recomputed kinship neighbour list.
+    - {!random_plan} and {!reinsert_orphans} are the list-walking forms
+      of the plan sampler and the crossover repair, over the operators
+      above: the index-based library versions must draw the same random
+      numbers, probe the objective in the same order and return the same
+      partitions. *)
 
 module Objective = Kf_search.Objective
 
@@ -44,8 +49,8 @@ val comp_sum : Objective.model -> Kf_model.Inputs.t -> int list list list -> flo
 
 val absorbing_merge :
   Objective.t -> int list list -> int list -> (int list * int list list) option
-(** {!Kf_search.Grouping.absorbing_merge} with unmemoized path closures
-    and condensation cycles found by Kosaraju. *)
+(** {!Kf_search.Grouping.absorbing_merge} with plain path closures and
+    condensation cycles found by Kosaraju. *)
 
 val merge_pair :
   Objective.t -> int list list -> int list -> int list -> (int list * int list list) option
@@ -58,3 +63,14 @@ val repair_schedule : Objective.t -> int list list -> int list list
 val kin_adjacent_raw : Objective.t -> int list list -> int list -> int list list
 (** {!Kf_search.Grouping.kin_adjacent_groups} with the kinship neighbour
     list recomputed and searched linearly on every call. *)
+
+val random_plan :
+  Objective.t -> Kf_util.Rng.t -> ?merge_attempts:int -> int -> int list list
+(** {!Kf_search.Grouping.random_plan} over {!kin_adjacent_raw} and
+    {!merge_pair}, rebuilding the candidate lists from the whole
+    partition on every attempt. *)
+
+val reinsert_orphans :
+  Objective.t -> Kf_util.Rng.t -> int list list -> int list -> int list list
+(** {!Kf_search.Grouping.reinsert_orphans} over {!kin_adjacent_raw} and
+    {!merge_pair}, building every candidate's remainder. *)

@@ -235,28 +235,36 @@ let prop_incremental_matches_full =
       done;
       !agree)
 
-(* The objective answers the condensation questions with linear walks
-   over per-kernel adjacency; the oracle runs Kosaraju
+(* A generated program at the paper's scale (40-150 kernels) with
+   synthetic runtimes; the grouping operators are structural, and the
+   synthetic costs still split merges between profitable and not. *)
+let paper_scale_inputs seed =
+  let n = 40 + (seed mod 111) in
+  let p =
+    Suite.generate
+      { Suite.default with Suite.kernels = n; arrays = 3 * n / 2; data_copies = n / 3; seed }
+  in
+  let meta = Metadata.build p in
+  let exec = Exec_order.build (Datadep.build p) in
+  let measured_runtime = Array.init n (fun k -> 1e-5 *. float_of_int (1 + (k mod 7))) in
+  (n, Inputs.make ~device ~meta ~exec ~measured_runtime)
+
+(* The objective answers the condensation questions with group-level
+   walks over per-kernel word-bitset rows; the oracle runs Kosaraju
    ([Grouping.condensation_sccs]) over plain path closures.  At the
    paper's scale (40-150 kernels) and on partitions whose condensation
-   has cycles, every structural operator must return exactly the same
-   groups — members and [rest] order — and the memoized kinship
-   adjacency must match the recomputed one.  The walks are structural,
-   so synthetic runtimes suffice. *)
+   has cycles, every structural operator — through the list API and
+   through one reused index-based view — must return exactly the same
+   groups, members and [rest] order, and the row-based kinship
+   adjacency must match the recomputed one. *)
 let prop_condensation_walks_match_kosaraju =
   QCheck.Test.make ~count:20
     ~name:"linear condensation walks match Kosaraju at paper scale on cyclic partitions"
     (QCheck.int_bound 10_000)
     (fun seed ->
-      let n = 40 + (seed mod 111) in
-      let p =
-        Suite.generate
-          { Suite.default with Suite.kernels = n; arrays = 3 * n / 2; data_copies = n / 3; seed }
-      in
-      let meta = Metadata.build p in
-      let exec = Exec_order.build (Datadep.build p) in
-      let measured_runtime = Array.init n (fun k -> 1e-5 *. float_of_int (1 + (k mod 7))) in
-      let obj = Objective.create (Inputs.make ~device ~meta ~exec ~measured_runtime) in
+      let n, inputs = paper_scale_inputs seed in
+      let exec = inputs.Inputs.exec in
+      let obj = Objective.create inputs in
       let rng = Rng.create (seed + 5) in
       let dag = Exec_order.dag exec in
       (* Endpoints of paths [a ->+ b ->+ c]: grouping [a] with [c] but not
@@ -303,16 +311,82 @@ let prop_condensation_walks_match_kosaraju =
           same (Grouping.schedulable obj gs) (Kf_oracle.schedulable obj gs);
           same (Grouping.repair_schedule obj gs) (Kf_oracle.repair_schedule obj gs);
           let arr = Array.of_list gs in
+          (* One index-based view serves every probe on this partition. *)
+          let v = Grouping.view obj gs in
+          let slot g = Grouping.slot v (List.hd g) in
           for _ = 1 to 4 do
             let a = Rng.choose rng arr and b = Rng.choose rng arr in
             same (Grouping.absorbing_merge obj gs a) (Kf_oracle.absorbing_merge obj gs a);
             same (Grouping.kin_adjacent_groups obj gs a) (Kf_oracle.kin_adjacent_raw obj gs a);
-            if a != b then
-              same (Grouping.merge_pair obj gs a b) (Kf_oracle.merge_pair obj gs a b)
+            same
+              (Array.to_list
+                 (Array.map (Array.get (Grouping.view_groups v)) (Grouping.kin_adjacent_slots obj v a)))
+              (Kf_oracle.kin_adjacent_raw obj gs a);
+            if a != b then begin
+              let oracle = Kf_oracle.merge_pair obj gs a b in
+              same (Grouping.merge_pair obj gs a b) oracle;
+              same
+                (Option.map
+                   (fun r -> (r.Grouping.members, Grouping.remainder v r))
+                   (Grouping.merge_slots obj v (slot a) (slot b)))
+                oracle;
+              same
+                (Option.map (Grouping.apply v) (Grouping.merge_slots obj v (slot a) (slot b)))
+                (Option.map (fun (m, rest) -> m :: rest) oracle)
+            end
           done)
         partitions;
       (* The jump partitions must really exercise the cyclic case. *)
       !agree && not (Kf_oracle.schedulable obj (List.hd partitions)))
+
+(* The index-based plan sampler and crossover repair against their
+   list-walking oracles, each on its own fresh objective: same
+   partitions, same generator state afterwards (so the same draws), and
+   the same sequence of first-time objective probes (logged by the
+   guard, which sees every cache miss in order). *)
+let prop_index_operators_match_list_oracle =
+  QCheck.Test.make ~count:15
+    ~name:"index-based random_plan and orphan repair match the list oracles"
+    (QCheck.int_bound 10_000)
+    (fun seed ->
+      let n, inputs = paper_scale_inputs seed in
+      let logged () =
+        let log = ref [] in
+        (log, Objective.create ~guard:(fun eval g -> log := g :: !log; eval g) inputs)
+      in
+      let log1, obj1 = logged () and log2, obj2 = logged () in
+      let agree = ref true in
+      let same a b = if a <> b then agree := false in
+      let both f g s =
+        let r1 = Rng.create s and r2 = Rng.create s in
+        let x = f obj1 r1 and y = g obj2 r2 in
+        same x y;
+        same (Rng.state r1) (Rng.state r2);
+        x
+      in
+      let a = both (fun o r -> Grouping.random_plan o r n) (fun o r -> Kf_oracle.random_plan o r n) seed in
+      let b =
+        both
+          (fun o r -> Grouping.random_plan o r ~merge_attempts:n n)
+          (fun o r -> Kf_oracle.random_plan o r ~merge_attempts:n n)
+          (seed + 1)
+      in
+      (* Crossover-shaped inputs: inject [b]'s multi-member groups that
+         [draw] picks into [a], and orphan the rest of the groups they
+         disrupt. *)
+      let draw = Rng.create (seed + 2) in
+      let injected = List.filter (fun g -> List.length g >= 2 && Rng.bool draw) b in
+      let hit k = List.exists (List.mem k) injected in
+      let untouched, disrupted = List.partition (fun g -> not (List.exists hit g)) a in
+      let orphans = List.concat_map (List.filter (fun k -> not (hit k))) disrupted in
+      let base = injected @ untouched @ List.map (fun k -> [ k ]) orphans in
+      ignore
+        (both
+           (fun o r -> Grouping.reinsert_orphans o r base orphans)
+           (fun o r -> Kf_oracle.reinsert_orphans o r base orphans)
+           (seed + 3));
+      same !log1 !log2;
+      !agree && !log1 <> [])
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -328,4 +402,5 @@ let suite =
       prop_plan_cost_additive;
       prop_incremental_matches_full;
       prop_condensation_walks_match_kosaraju;
+      prop_index_operators_match_list_oracle;
     ]

@@ -254,6 +254,35 @@ let prop_bitset_union_into =
       Bitset.union_into dst b;
       Bitset.equal dst (Bitset.union a b))
 
+(* The iterators skip empty bytes (words); a naive scan of [mem] over
+   the whole universe must see the same members in the same increasing
+   order.  Universe sizes cover partial last bytes and words. *)
+let prop_bitset_iterators_match_scan =
+  QCheck.Test.make ~count:300 ~name:"bitset and wordset iterators match a per-bit scan"
+    QCheck.(pair (int_range 1 200) (list small_nat))
+    (fun (n, raw) ->
+      let members = List.map (fun k -> k mod n) raw in
+      let b = Bitset.of_list n members and w = Kf_util.Wordset.of_list n members in
+      let scan mem = List.filter mem (List.init n Fun.id) in
+      let expected = scan (Bitset.mem b) in
+      let seen = ref [] in
+      Bitset.iter (fun i -> seen := i :: !seen) b;
+      let wseen = ref [] in
+      Kf_util.Wordset.iter (fun i -> wseen := i :: !wseen) w;
+      List.rev !seen = expected
+      && Bitset.to_list b = expected
+      && Bitset.fold (fun i acc -> i :: acc) b [] = List.rev expected
+      && (match expected with
+         | [] -> (try ignore (Bitset.choose b); false with Not_found -> true)
+         | k :: _ -> Bitset.choose b = k)
+      && scan (Kf_util.Wordset.mem w) = expected
+      && List.rev !wseen = expected
+      && Kf_util.Wordset.to_list w = expected
+      &&
+      match expected with
+      | [] -> true
+      | k :: _ -> Kf_util.Wordset.(lowest w.(k / bits) = k mod bits))
+
 (* --- Table --- *)
 
 (* Tiny substring helper to avoid a str dependency. *)
@@ -419,7 +448,7 @@ let prop_pool_steal_order_invariance =
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_shuffle_is_permutation; prop_sample_distinct; prop_mean_within_bounds;
     prop_median_within_bounds; prop_bitset_model; prop_bitset_union_into;
-    prop_pool_steal_order_invariance ]
+    prop_pool_steal_order_invariance; prop_bitset_iterators_match_scan ]
 
 let suite =
   [
