@@ -1,12 +1,13 @@
 module Bitset = Kf_util.Bitset
+module Wordset = Kf_util.Wordset
 
 type t = {
   n : int;
   succ : (int, unit) Hashtbl.t array;
   pred : (int, unit) Hashtbl.t array;
   mutable edge_count : int;
-  mutable reach : Bitset.t array option; (* reach.(u) = descendants of u incl. u *)
-  mutable coreach : Bitset.t array option; (* coreach.(v) = ancestors of v incl. v *)
+  mutable reach : Wordset.t array option; (* reach.(u) = descendants of u incl. u *)
+  mutable coreach : Wordset.t array option; (* coreach.(v) = ancestors of v incl. v *)
 }
 
 let create n =
@@ -86,10 +87,15 @@ let topo_sort t =
 let compute_reach t neighbors order =
   (* Each node's set is the union of its neighbors' sets, so neighbors must
      be processed first: reverse topological order for descendants, forward
-     for ancestors — O(V * V/64 * E) with bitsets. *)
-  let sets = Array.init t.n (fun v -> Bitset.singleton t.n v) in
+     for ancestors — O(V * V/62 * E) with word bitsets. *)
+  let sets =
+    Array.init t.n (fun v ->
+        let s = Wordset.create t.n in
+        Wordset.add s v;
+        s)
+  in
   List.iter
-    (fun v -> Hashtbl.iter (fun w () -> Bitset.union_into sets.(v) sets.(w)) (neighbors v))
+    (fun v -> Hashtbl.iter (fun w () -> Wordset.union_into sets.(v) sets.(w)) (neighbors v))
     order;
   sets
 
@@ -98,7 +104,7 @@ let topo_or_fail t =
   | Some o -> o
   | None -> invalid_arg "Dag: reachability requires an acyclic graph"
 
-let reach_sets t =
+let reach_rows t =
   match t.reach with
   | Some r -> r
   | None ->
@@ -106,7 +112,7 @@ let reach_sets t =
       t.reach <- Some r;
       r
 
-let coreach_sets t =
+let coreach_rows t =
   match t.coreach with
   | Some r -> r
   | None ->
@@ -117,45 +123,54 @@ let coreach_sets t =
 let reaches t u v =
   check t u;
   check t v;
-  Bitset.mem (reach_sets t).(u) v
+  Wordset.mem (reach_rows t).(u) v
+
+let to_bitset t s = Bitset.of_list t.n (Wordset.to_list s)
 
 let descendants t u =
   check t u;
-  Bitset.copy (reach_sets t).(u)
+  to_bitset t (reach_rows t).(u)
 
 let ancestors t v =
   check t v;
-  Bitset.copy (coreach_sets t).(v)
+  to_bitset t (coreach_rows t).(v)
 
 let on_some_path t a b =
   check t a;
   check t b;
   if not (reaches t a b) then []
   else begin
-    let from_a = (reach_sets t).(a) and to_b = (coreach_sets t).(b) in
-    Bitset.to_list (Bitset.inter from_a to_b)
+    let to_b = (coreach_rows t).(b) in
+    List.filter (Wordset.mem to_b) (Wordset.to_list (reach_rows t).(a))
   end
 
 let path_closure t s =
   (* v lies on a path between two members iff v is reachable from some
      member and some member is reachable from v, so the closure step is
      (⋃ reach) ∩ (⋃ coreach); iterate to fixpoint (new members can extend
-     both unions).  Bitset unions make each step near-linear. *)
-  let reach = reach_sets t and coreach = coreach_sets t in
-  let closure = ref (Bitset.copy s) in
+     both unions).  Word-bitset unions make each step near-linear. *)
+  if Bitset.universe_size s <> t.n then invalid_arg "Dag.path_closure: universe size mismatch";
+  let reach = reach_rows t and coreach = coreach_rows t in
+  let closure = Wordset.of_list t.n (Bitset.to_list s) in
   let continue_ = ref true in
   while !continue_ do
-    let forward = Bitset.create t.n and backward = Bitset.create t.n in
-    Bitset.iter
+    let forward = Wordset.create t.n and backward = Wordset.create t.n in
+    Wordset.iter
       (fun v ->
-        Bitset.union_into forward reach.(v);
-        Bitset.union_into backward coreach.(v))
-      !closure;
-    let next = Bitset.inter forward backward in
-    Bitset.union_into next !closure;
-    if Bitset.equal next !closure then continue_ := false else closure := next
+        Wordset.union_into forward reach.(v);
+        Wordset.union_into backward coreach.(v))
+      closure;
+    continue_ := false;
+    Array.iteri
+      (fun w f ->
+        let fresh = f land backward.(w) land lnot closure.(w) in
+        if fresh <> 0 then begin
+          closure.(w) <- closure.(w) lor fresh;
+          continue_ := true
+        end)
+      forward
   done;
-  !closure
+  to_bitset t closure
 
 let transpose t =
   let g = create t.n in

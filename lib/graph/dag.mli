@@ -32,7 +32,7 @@ val topo_sort : t -> int list
 val reaches : t -> int -> int -> bool
 (** [reaches g u v] is true when a directed path [u -> … -> v] exists
     ([reaches g u u = true]).  First use computes the full transitive
-    closure (bitset per node); later queries are O(1). *)
+    closure (word bitset per node); later queries are O(1). *)
 
 val on_some_path : t -> int -> int -> int list
 (** [on_some_path g a b] is the set of nodes lying on at least one directed
@@ -47,6 +47,15 @@ val path_closure : t -> Kf_util.Bitset.t -> Kf_util.Bitset.t
 
 val ancestors : t -> int -> Kf_util.Bitset.t
 val descendants : t -> int -> Kf_util.Bitset.t
+
+val reach_rows : t -> Kf_util.Wordset.t array
+(** [(reach_rows g).(u)] is the descendants of [u], itself included: the
+    cached transitive closure itself, not a copy.  Read-only; adding an
+    edge replaces the cache and leaves rows already handed out as they
+    were.  @raise Invalid_argument if the graph has a cycle. *)
+
+val coreach_rows : t -> Kf_util.Wordset.t array
+(** The ancestors of every node, itself included, like {!reach_rows}. *)
 
 val transpose : t -> t
 

@@ -98,7 +98,6 @@ let view_of_array obj groups =
 
 let view obj groups = view_of_array obj (Array.of_list groups)
 let view_groups v = v.groups
-let slot v k = v.slot.(k)
 
 (* Add the members of a group to [seen] and OR their [rows] into
    [next]. *)
@@ -272,27 +271,19 @@ let merge_core obj v seed1 seed2 =
     !grew
   in
   (* Slots in a condensation cycle with the merged set: [{j | m ->+ j and
-     j ->+ m}] at group granularity.  The walk runs first in the
-     direction with fewer kernels in reach.  Forward first: the last
-     group on a path back into [m] holds an ancestor of a member, so
-     with no ancestor reached there is no cycle; and every group on a
+     j ->+ m}] at group granularity.  The forward walk comes first: the
+     last group on a path back into [m] holds an ancestor of a member,
+     so with no ancestor reached there is no cycle.  Every group on a
      path [j ->+ m] from a cycle group [j] is itself reachable from [m],
      so the backward walk enters only what the forward walk reached —
-     and the groups it enters are the cycle.  Backward first is the
-     mirror image. *)
+     and the groups it enters are the cycle. *)
   let cycle () =
-    let outside a = Wordset.cardinal_diff a m in
-    let (rows1, from1, ends), (rows2, from2) =
-      if outside reach <= outside coreach then
-        ((rows.Struct_memo.succ, out, coreach), (rows.Struct_memo.pred, inn))
-      else ((rows.Struct_memo.pred, inn, reach), (rows.Struct_memo.succ, out))
-    in
-    let first, _, count = group_walk v rows1 ~mask:v.cov ~from:from1 m in
-    let rec closes w = w < nw && (first.(w) land ends.(w) land lnot m.(w) <> 0 || closes (w + 1)) in
+    let forward, _, count = group_walk v rows.Struct_memo.succ ~mask:v.cov ~from:out m in
+    let rec closes w = w < nw && (forward.(w) land coreach.(w) land lnot m.(w) <> 0 || closes (w + 1)) in
     count > 0
     && closes 0
     &&
-    let _, slots, count = group_walk v rows2 ~mask:first ~from:from2 m in
+    let _, slots, count = group_walk v rows.Struct_memo.pred ~mask:forward ~from:inn m in
     for i = 0 to count - 1 do
       absorb slots.(i)
     done;
@@ -360,14 +351,8 @@ let merge_pair obj groups a b =
 let kin_adjacent_slots obj v group =
   let kin = (rows_of obj).Struct_memo.kin in
   let nb = Array.make (Array.length v.cov) 0 in
-  List.iter
-    (fun k ->
-      let row = kin.(k) in
-      for w = 0 to Array.length nb - 1 do
-        nb.(w) <- nb.(w) lor Array.unsafe_get row w
-      done)
-    group;
-  List.iter (fun k -> nb.(k / Wordset.bits) <- nb.(k / Wordset.bits) land lnot (1 lsl (k mod Wordset.bits))) group;
+  List.iter (fun k -> Wordset.union_into nb kin.(k)) group;
+  List.iter (Wordset.remove nb) group;
   let acc = ref [] in
   Wordset.iter
     (fun k ->

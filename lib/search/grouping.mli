@@ -28,9 +28,6 @@ val view : Objective.t -> groups -> view
 val view_groups : view -> int list array
 (** The groups by slot.  Do not mutate. *)
 
-val slot : view -> int -> int
-(** [slot v k] is the slot of the group holding kernel [k], or [-1]. *)
-
 type merge = {
   members : int list;  (** the merged group, increasing *)
   absorbed : int list;  (** slots it swallowed, increasing (the two seeds included) *)

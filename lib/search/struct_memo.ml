@@ -1,5 +1,4 @@
 module Plan = Kf_fusion.Plan
-module Bitset = Kf_util.Bitset
 module Wordset = Kf_util.Wordset
 module Dag = Kf_graph.Dag
 module Sigbuf = Plan.Sigbuf
@@ -267,8 +266,8 @@ let create_memos dag meta =
     refine = table "refine";
     rows =
       {
-        reach = row (fun k -> Bitset.to_list (Dag.descendants dag k));
-        coreach = row (fun k -> Bitset.to_list (Dag.ancestors dag k));
+        reach = Dag.reach_rows dag;
+        coreach = Dag.coreach_rows dag;
         succ = row (Dag.succs dag);
         pred = row (Dag.preds dag);
         kin = row (Kf_ir.Metadata.kin_neighbors meta);

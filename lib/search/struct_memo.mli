@@ -3,11 +3,12 @@
 
     The absorbing merge and kinship adjacency work on an index-based
     view of a partition (the group array plus a kernel→slot index, see
-    {!Grouping.view}) and on per-kernel word-bitset rows built once per
-    objective: transitive reach and coreach (the path closure is the
-    fixpoint of [M ∪ (reach M ∩ coreach M)]), direct successors and
-    predecessors (the group-level condensation walks), and kinship
-    neighbours.  One merge costs O(kernels it touches × words), so
+    {!Grouping.view}) and on per-kernel word-bitset rows: transitive
+    reach and coreach (the path closure is the fixpoint of
+    [M ∪ (reach M ∩ coreach M)]), which are the execution DAG's own
+    cached closure and are not copied, and direct successors and
+    predecessors (the group-level condensation walks) and kinship
+    neighbours, built once per objective.  One merge costs O(kernels it touches × words), so
     nothing about it is memoized: a memo key (the whole partition plus
     the seed) costs more to encode than the merge, and on a 142-kernel
     SCALE-LES search such keys hit 0.55% of the time while the table
@@ -90,8 +91,11 @@ val table_stats : 'a table -> int * int
 (** [(hits, misses)] accumulated over all domains, live. *)
 
 type rows = {
-  reach : Kf_util.Wordset.t array;  (** descendants of each kernel, itself included *)
-  coreach : Kf_util.Wordset.t array;  (** ancestors of each kernel, itself included *)
+  reach : Kf_util.Wordset.t array;
+      (** descendants of each kernel, itself included: the DAG's own
+          {!Kf_graph.Dag.reach_rows}, not a copy *)
+  coreach : Kf_util.Wordset.t array;
+      (** ancestors of each kernel, itself included ({!Kf_graph.Dag.coreach_rows}) *)
   succ : Kf_util.Wordset.t array;  (** direct successors in the execution DAG *)
   pred : Kf_util.Wordset.t array;  (** direct predecessors *)
   kin : Kf_util.Wordset.t array;  (** kinship neighbours ({!Kf_ir.Metadata.kin_neighbors}) *)

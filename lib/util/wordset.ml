@@ -3,11 +3,28 @@ type t = int array
 let bits = 62
 let words n = (n + bits - 1) / bits
 let create n = Array.make (words n) 0
-let mem s i = Array.unsafe_get s (i / bits) land (1 lsl (i mod bits)) <> 0
+
+let check i = if i < 0 then invalid_arg (Printf.sprintf "Wordset: negative index %d" i)
+
+let mem s i =
+  check i;
+  s.(i / bits) land (1 lsl (i mod bits)) <> 0
 
 let add s i =
+  check i;
   let w = i / bits in
-  Array.unsafe_set s w (Array.unsafe_get s w lor (1 lsl (i mod bits)))
+  s.(w) <- s.(w) lor (1 lsl (i mod bits))
+
+let remove s i =
+  check i;
+  let w = i / bits in
+  s.(w) <- s.(w) land lnot (1 lsl (i mod bits))
+
+let union_into dst src =
+  if Array.length src <> Array.length dst then invalid_arg "Wordset.union_into: size mismatch";
+  for w = 0 to Array.length dst - 1 do
+    Array.unsafe_set dst w (Array.unsafe_get dst w lor Array.unsafe_get src w)
+  done
 
 let of_list n l =
   let s = create n in
@@ -24,26 +41,6 @@ let log2_of_bit =
   t
 
 let lowest w = Array.unsafe_get log2_of_bit ((w land -w) mod 67)
-
-let popcount =
-  let t = Array.make 256 0 in
-  for i = 1 to 255 do
-    t.(i) <- t.(i lsr 1) + (i land 1)
-  done;
-  fun x ->
-    let c = ref 0 and x = ref x in
-    while !x <> 0 do
-      c := !c + Array.unsafe_get t (!x land 0xFF);
-      x := !x lsr 8
-    done;
-    !c
-
-let cardinal_diff a b =
-  let c = ref 0 in
-  for w = 0 to Array.length a - 1 do
-    c := !c + popcount (Array.unsafe_get a w land lnot (Array.unsafe_get b w))
-  done;
-  !c
 
 let iter f s =
   for w = 0 to Array.length s - 1 do

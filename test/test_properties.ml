@@ -313,7 +313,11 @@ let prop_condensation_walks_match_kosaraju =
           let arr = Array.of_list gs in
           (* One index-based view serves every probe on this partition. *)
           let v = Grouping.view obj gs in
-          let slot g = Grouping.slot v (List.hd g) in
+          let slot g =
+            let slots = Grouping.view_groups v in
+            let rec find s = if slots.(s) = g then s else find (s + 1) in
+            find 0
+          in
           for _ = 1 to 4 do
             let a = Rng.choose rng arr and b = Rng.choose rng arr in
             same (Grouping.absorbing_merge obj gs a) (Kf_oracle.absorbing_merge obj gs a);

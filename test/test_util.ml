@@ -231,6 +231,20 @@ let test_bitset_bounds () =
   Alcotest.check_raises "add out of range" (Invalid_argument "Bitset: index 8 out of [0,8)")
     (fun () -> Bitset.add s 8)
 
+let test_wordset_bounds_and_updates () =
+  let module W = Kf_util.Wordset in
+  let s = W.of_list 70 [ 1; 61; 62; 69 ] and t = W.of_list 70 [ 0; 62; 68 ] in
+  W.union_into s t;
+  W.remove s 62;
+  W.remove s 5;
+  check Alcotest.(list int) "union then remove" [ 0; 1; 61; 68; 69 ] (W.to_list s);
+  Alcotest.check_raises "negative add" (Invalid_argument "Wordset: negative index -1")
+    (fun () -> W.add s (-1));
+  Alcotest.check_raises "mem past the last word" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (W.mem (W.create 8) W.bits));
+  Alcotest.check_raises "union of different sizes"
+    (Invalid_argument "Wordset.union_into: size mismatch") (fun () -> W.union_into s (W.create 8))
+
 let prop_bitset_model =
   (* Bitset algebra agrees with a sorted-list set model. *)
   let module IS = Set.Make (Int) in
@@ -481,5 +495,7 @@ let suite =
     Alcotest.test_case "pool repeated failures no wedge" `Quick
       test_pool_repeated_failures_no_wedge;
     Alcotest.test_case "pool invalid usage" `Quick test_pool_invalid;
+    Alcotest.test_case "wordset bounds and in-place updates" `Quick
+      test_wordset_bounds_and_updates;
   ]
   @ qsuite
